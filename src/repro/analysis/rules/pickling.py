@@ -1,14 +1,16 @@
 """RPR002 — pickle-safety at the process boundary.
 
-Everything submitted to a pool in :mod:`repro.exec` (and its historical
-home :mod:`repro.future`, kept in scope so the deprecation shims stay
-honest) crosses a process boundary, and under the ``spawn`` start method
+Everything submitted to a pool in :mod:`repro.exec` (and in
+:mod:`repro.future`, the executors' former home, which stays in scope)
+crosses a process boundary, and under the ``spawn`` start method
 (the CI matrix runs both ``fork`` and ``spawn``) the callable is pickled
 by reference.  Lambdas, nested closures and bound methods are not
 picklable, so a submission that works under ``fork`` dies with a
 ``PicklingError`` under ``spawn`` — the exact regression PR 2's resilient
 executor exists to avoid.  Only module-level functions (``_probe_chunk``,
-``_init_worker``, ``_join_shard``) may cross.
+``_init_worker``, ``_join_shard``) may cross; the supervisor submits
+whatever function its task factory's ``remote`` hook names, so those
+hooks name one of these.
 """
 
 from __future__ import annotations

@@ -39,18 +39,18 @@ from repro.governance.policy import GovernancePolicy, current_policy, governor, 
 from repro.obs.tracer import current_tracer
 from repro.relations.relation import Relation
 
-__all__ = ["ParallelJoin", "parallel_join", "record_chunk_span", "merge_chunk_stats"]
-
-#: Backwards-compatible alias: chunk merging is now the shared
-#: :func:`repro.exec.merge.merge_stats` fold (identical numbers on the
-#: chunk path — chunks report zero build time and the shared index's own
-#: signature bits, so the unified fold's extra fields are no-ops here).
-merge_chunk_stats = merge_stats
+__all__ = ["ParallelJoin", "parallel_join", "record_chunk_span"]
 
 #: The prepared index shared with worker processes.  Set once per worker by
 #: :func:`_init_worker` (inherited for free when the pool forks; transferred
 #: by pickle exactly once per worker under ``spawn``).
 _WORKER_INDEX: PreparedIndex | None = None
+
+
+def current_worker_policy() -> GovernancePolicy | None:
+    """The active governance policy as shipped to pool workers, if any."""
+    policy = current_policy()
+    return policy.worker_policy() if policy is not None else None
 
 
 def _init_worker(index: PreparedIndex, policy: GovernancePolicy | None = None) -> None:
@@ -66,38 +66,52 @@ def _init_worker(index: PreparedIndex, policy: GovernancePolicy | None = None) -
     set_policy(policy)
 
 
-def _probe_chunk(r_chunk: Relation) -> tuple[list[tuple[int, int]], JoinStats]:
-    """Worker entry point (module-level so it pickles): probe, never build."""
-    assert _WORKER_INDEX is not None, "worker pool initializer did not run"
-    result = _WORKER_INDEX.probe_many(r_chunk)
+def _probe(index: PreparedIndex, r_chunk: Relation) -> tuple[list[tuple[int, int]], JoinStats]:
+    """Probe one chunk in this process."""
+    result = index.probe_many(r_chunk)
     return result.pairs, result.stats
 
 
-def record_chunk_span(tracer, chunk_stats: JoinStats) -> None:
-    """Fold one worker-measured chunk probe into the parent's span tree.
+def _probe_chunk(r_chunk: Relation) -> tuple[list[tuple[int, int]], JoinStats]:
+    """Worker entry point (module-level so it pickles): probe, never build."""
+    assert _WORKER_INDEX is not None, "worker pool initializer did not run"
+    return _probe(_WORKER_INDEX, r_chunk)
 
-    Workers run with their own (null) tracer; their probe wall time comes
-    home inside the chunk's :class:`JoinStats`.  Recording it — rather
-    than re-timing with a context manager — merges every chunk into one
-    ``probe`` span whose ``seconds`` equals the *summed* per-chunk probe
-    time (what ``stats.probe_seconds`` reports), not the smaller parallel
-    wall time, so the span tree and the stats stay consistent.
+
+def record_worker_span(
+    tracer, span: str, unit: str, metric: str, seconds: float, stats: JoinStats
+) -> None:
+    """Fold one worker-measured run into the parent's span tree.
+
+    Workers run with their own (null) tracer; their wall time comes home
+    inside the task's :class:`JoinStats`.  Recording it — rather than
+    re-timing with a context manager — merges every task into one
+    ``span`` whose ``seconds`` equals the *summed* per-task time (what the
+    merged stats report), not the smaller parallel wall time, so the span
+    tree and the stats stay consistent.
     """
     if not tracer.enabled:
         return
     tracer.record(
-        "probe",
-        chunk_stats.probe_seconds,
+        span,
+        seconds,
         {
-            "chunks": 1,
-            "pairs": chunk_stats.pairs,
-            "candidates": chunk_stats.candidates,
-            "verifications": chunk_stats.verifications,
-            "node_visits": chunk_stats.node_visits,
-            "intersections": chunk_stats.intersections,
+            unit: 1,
+            "pairs": stats.pairs,
+            "candidates": stats.candidates,
+            "verifications": stats.verifications,
+            "node_visits": stats.node_visits,
+            "intersections": stats.intersections,
         },
     )
-    tracer.observe("chunk_probe_seconds", chunk_stats.probe_seconds)
+    tracer.observe(metric, seconds)
+
+
+def record_chunk_span(tracer, chunk_stats: JoinStats) -> None:
+    """Record one chunk's worker probe as part of the ``probe`` span."""
+    record_worker_span(
+        tracer, "probe", "chunks", "chunk_probe_seconds", chunk_stats.probe_seconds, chunk_stats
+    )
 
 
 class ParallelJoin(BaseExecutor):
@@ -147,19 +161,11 @@ class ParallelJoin(BaseExecutor):
 
     def _make_pool(self, index: PreparedIndex) -> ProcessPoolExecutor:
         """Create the worker pool, every worker bound to ``index``."""
-        context = (
-            multiprocessing.get_context(self.start_method)
-            if self.start_method is not None
-            else None
-        )
-        policy = current_policy()
-        if policy is not None:
-            policy = policy.worker_policy()
         return ProcessPoolExecutor(
             max_workers=self.workers,
-            mp_context=context,
+            mp_context=multiprocessing.get_context(self.start_method),
             initializer=_init_worker,
-            initargs=(index, policy),
+            initargs=(index, current_worker_policy()),
         )
 
     def _partition(self, r: Relation, stats: JoinStats) -> list[Relation]:
@@ -186,10 +192,7 @@ class ParallelJoin(BaseExecutor):
         if self.workers == 1:
             # In-process probes run under the active tracer directly, so
             # probe_many opens the spans itself — no explicit recording.
-            outcomes = [
-                (res.pairs, res.stats)
-                for res in (index.probe_many(chunk) for chunk in r_chunks)
-            ]
+            outcomes = [_probe(index, chunk) for chunk in r_chunks]
         else:
             gov = governor("probe", stats)
             with self._make_pool(index) as pool:

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.relations.relation import Relation, SetRecord
+from repro.testing.faults import CrashingIndex, DyingIndex, FaultTrigger, SleepingIndex
 
 
 def random_relation(
@@ -38,6 +39,24 @@ def oracle_pairs(r: Relation, s: Relation) -> set[tuple[int, int]]:
         for ss in s
         if rr.elements >= ss.elements
     }
+
+
+def crash_then_die(
+    crash: FaultTrigger,
+    sleep: FaultTrigger,
+    die: FaultTrigger,
+    index,
+    parent_pid: int | None = None,
+):
+    """Fault wrapper: the first probe raises, the next dies 0.2 s in.
+
+    Bind the triggers with :func:`functools.partial` to get an
+    ``index_transform`` that pickles under spawn.  With two tasks on two
+    workers, one task's retry backoff outlasts the other worker's death,
+    so the retry is resubmitted in the round the pool breaks.
+    """
+    dying = DyingIndex(index, die, parent_pid=parent_pid)
+    return CrashingIndex(SleepingIndex(dying, sleep, sleep_seconds=0.2), crash)
 
 
 @pytest.fixture

@@ -125,7 +125,7 @@ def test_pickle_rule_scoped_to_executor_layers():
 
 def test_pickle_rule_covers_exec_package():
     # PR 6 moved the executors to repro.exec; the rule follows them (and
-    # keeps watching the repro.future shims).
+    # keeps watching repro.future).
     report = lint_source(
         _fixture("rpr002_exec_bad"),
         path="rpr002_exec_bad.py",

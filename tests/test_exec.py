@@ -1,6 +1,6 @@
 """Contract tests for the :mod:`repro.exec` executor package.
 
-Three things the PR 6 refactor promises:
+Two things the executor package promises:
 
 * every executor — inline, parallel, resilient, disk, sharded — satisfies
   the :class:`~repro.exec.protocol.Executor` protocol, so planner and CLI
@@ -8,17 +8,10 @@ Three things the PR 6 refactor promises:
 * :func:`repro.planner.executor.execute_plan` dispatches through the
   :data:`repro.exec.EXECUTOR_CLASSES` registry with no per-class
   branches, and rejects unknown executor names with
-  :class:`~repro.errors.PlanError`;
-* the pre-refactor import paths (``repro.future.parallel``,
-  ``repro.future.resilient``, ``repro.external.disk_join``) keep working
-  but emit :class:`DeprecationWarning`, re-exporting the *same* objects.
+  :class:`~repro.errors.PlanError`.
 """
 
 from __future__ import annotations
-
-import importlib
-import sys
-import warnings
 
 import pytest
 
@@ -140,41 +133,3 @@ def test_planned_sharded_join_executes(rs_pair):
     result = execute_plan(plan, r, s)
     assert set(result.pairs) == oracle_pairs(r, s)
     assert result.stats.algorithm.startswith("sharded-")
-
-
-# ----------------------------------------------------------------------
-# Deprecation shims
-# ----------------------------------------------------------------------
-SHIMS = {
-    "repro.future.parallel": ("ParallelJoin", ParallelJoin),
-    "repro.future.resilient": ("ResilientParallelJoin", ResilientParallelJoin),
-    "repro.external.disk_join": ("DiskPartitionedJoin", DiskPartitionedJoin),
-}
-
-
-@pytest.mark.parametrize("module_name", sorted(SHIMS))
-def test_old_import_path_warns_and_reexports(module_name):
-    symbol, expected = SHIMS[module_name]
-    sys.modules.pop(module_name, None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        module = importlib.import_module(module_name)
-    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert deprecations, f"{module_name} import did not warn"
-    assert "repro.exec" in str(deprecations[0].message)
-    # The shim re-exports the same object, not a divergent copy.
-    assert getattr(module, symbol) is expected
-
-
-def test_package_inits_do_not_warn():
-    # repro.future / repro.external themselves import from repro.exec, so
-    # existing `from repro.future import ParallelJoin` code stays silent.
-    for name in ("repro.future", "repro.external"):
-        sys.modules.pop(name, None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        future = importlib.import_module("repro.future")
-        external = importlib.import_module("repro.external")
-    assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
-    assert future.ParallelJoin is ParallelJoin
-    assert external.DiskPartitionedJoin is DiskPartitionedJoin

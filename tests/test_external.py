@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ExternalMemoryError
-from repro.external import DiskPartitionedJoin, disk_partitioned_join
+from repro.exec import DiskPartitionedJoin, disk_partitioned_join
 from repro.external.partition import SpilledRelation, partition_relation
 from repro.relations.relation import Relation
 from tests.conftest import oracle_pairs, random_relation

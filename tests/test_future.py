@@ -7,7 +7,7 @@ import pytest
 from repro.core.registry import make_algorithm
 from repro.errors import AlgorithmError, TrieError
 from repro.future.multiway import MWTSJ, MultiwayTrie
-from repro.future import ParallelJoin, parallel_join
+from repro.exec import ParallelJoin, parallel_join
 from repro.future.trie_trie import TrieTrieJoin
 from repro.relations.relation import Relation
 from tests.conftest import TABLE1_EXPECTED, oracle_pairs, random_relation

@@ -15,6 +15,7 @@ runs the suite once per method).
 
 from __future__ import annotations
 
+import functools
 import os
 
 import pytest
@@ -41,7 +42,7 @@ from repro.testing.faults import (
     FaultTrigger,
     SleepingIndex,
 )
-from tests.conftest import oracle_pairs, random_relation
+from tests.conftest import crash_then_die, oracle_pairs, random_relation
 
 #: Optional start-method override so CI can drill both fork and spawn.
 START_METHOD = os.environ.get("REPRO_START_METHOD") or None
@@ -208,6 +209,26 @@ class TestWorkerDeath:
         ).join(r, s)
         assert result.pair_set() == oracle_pairs(r, s)
         assert trigger.fired() == 0
+
+    def test_retry_submitted_as_the_pool_breaks(self, rs_pair, sequential_pairs, tmp_path):
+        # One chunk raises and waits out a 0.5 s backoff; the other
+        # chunk's worker dies 0.2 s in.  The retry's submit meets the
+        # broken pool, which must be restarted rather than escape join().
+        r, s = rs_pair
+        transform = functools.partial(
+            crash_then_die,
+            FaultTrigger(tmp_path, name="crash"),
+            FaultTrigger(tmp_path, name="sleep"),
+            FaultTrigger(tmp_path, name="die"),
+        )
+        result = make_join(
+            workers=2, chunks=2, index_transform=transform,
+            retry_policy=RetryPolicy(max_attempts=3, backoff_seconds=0.5),
+        ).join(r, s)
+        assert result.pairs == sequential_pairs
+        assert result.stats.extras["pool_restarts"] >= 1
+        assert result.stats.extras["retries"] >= 2
+        assert result.stats.extras["fallback_chunks"] == 0
 
 
 class TestTimeouts:

@@ -20,13 +20,14 @@ record elements and must not depend on how workers are born.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 
 import pytest
 
 from repro.core.base import JoinStats
-from repro.errors import AlgorithmError, RetryExhaustedError, WorkerError
+from repro.errors import AlgorithmError, JoinTimeoutError, RetryExhaustedError, WorkerError
 from repro.exec.inline import InlineJoin
 from repro.exec.resilient import RetryPolicy
 from repro.exec.sharded import (
@@ -44,8 +45,9 @@ from repro.testing.faults import (
     DyingIndex,
     FaultTrigger,
     IndexFault,
+    SleepingIndex,
 )
-from tests.conftest import oracle_pairs, random_relation
+from tests.conftest import crash_then_die, oracle_pairs, random_relation
 
 #: Optional start-method override so CI can drill both fork and spawn.
 START_METHOD = os.environ.get("REPRO_START_METHOD") or None
@@ -261,6 +263,27 @@ class TestShardLoss:
         assert result.stats.extras["pool_restarts"] >= 1
         assert result.stats.extras["retries"] >= 1
 
+    def test_retry_submitted_as_the_pool_breaks(self, rs_pair, expected, tmp_path):
+        # One shard raises and waits out a 0.5 s backoff; the other
+        # shard's worker dies 0.2 s in.  The retry's submit meets the
+        # broken pool, which must be restarted rather than escape join().
+        r, s = rs_pair
+        transform = functools.partial(
+            crash_then_die,
+            FaultTrigger(tmp_path, name="crash"),
+            FaultTrigger(tmp_path, name="sleep"),
+            FaultTrigger(tmp_path, name="die"),
+            parent_pid=os.getpid(),
+        )
+        result = make_join(
+            workers=2, shards=2, index_transform=transform,
+            retry_policy=RetryPolicy(max_attempts=3, backoff_seconds=0.5),
+        ).join(r, s)
+        assert sorted(result.pairs) == sorted(expected)
+        assert result.stats.extras["pool_restarts"] >= 1
+        assert result.stats.extras["retries"] >= 2
+        assert result.stats.extras["fallback_shards"] == 0
+
     def test_index_fault_spares_the_parent(self, rs_pair, expected, tmp_path):
         # Exhaust retries with a persistent killer: every pooled attempt
         # dies, and the parent's in-process fallback must survive because
@@ -319,6 +342,26 @@ class TestShardLoss:
         alien = [(a, b) for a, b in result.pairs if a == 10_000]
         assert alien  # the lie went through, as configured
         assert result.stats.extras["corrupt_shards"] == 0
+
+    def test_slow_shard_falls_back(self, rs_pair, expected, tmp_path):
+        r, s = rs_pair
+        fault = IndexFault(SleepingIndex, FaultTrigger(tmp_path, times=1), sleep_seconds=1.5)
+        result = make_join(
+            workers=2, shards=2, index_transform=fault, timeout_seconds=0.25,
+        ).join(r, s)
+        assert sorted(result.pairs) == sorted(expected)
+        assert result.stats.extras["timeouts"] >= 1
+        assert result.stats.extras["fallback_shards"] >= 1
+
+    def test_timeout_without_fallback_raises(self, rs_pair, tmp_path):
+        r, s = rs_pair
+        fault = IndexFault(SleepingIndex, FaultTrigger(tmp_path, times=1), sleep_seconds=1.5)
+        join = make_join(
+            workers=2, shards=2, index_transform=fault, timeout_seconds=0.25,
+            fallback=False,
+        )
+        with pytest.raises(JoinTimeoutError, match=r"shard \d+ exceeded"):
+            join.join(r, s)
 
     def test_inline_workers_retry_too(self, rs_pair, expected, tmp_path):
         # workers=1 runs shards in-process; the retry ladder still applies.
