@@ -10,7 +10,9 @@ import ...`` in a test would otherwise create a second copy with its own
 from __future__ import annotations
 
 import gc
+import statistics
 from collections import OrderedDict
+from time import perf_counter
 
 from repro.bench.reporting import fmt_bytes, fmt_seconds, format_ratios, format_series
 
@@ -35,6 +37,9 @@ def run_and_record(benchmark, figure: str, label: str, algorithm: str, fn,
                    rounds: int = 1) -> None:
     """Benchmark ``fn`` (pedantic, ``rounds`` rounds) and record the median.
 
+    Under ``--benchmark-disable`` the rounds are timed with
+    ``perf_counter`` instead, so the figure still gets its points.
+
     The paper runs each point 10 times in Java; a single round is the right
     trade-off for pure Python where each point costs 0.1-15 s and variance
     is small relative to the order-of-magnitude effects under study.
@@ -51,6 +56,20 @@ def run_and_record(benchmark, figure: str, label: str, algorithm: str, fn,
         gc.collect()
         gc.disable()
 
+    if benchmark.disabled:
+        # --benchmark-disable: the fixture would run fn once and keep no
+        # stats, so time the same rounds here instead.
+        seconds = []
+        for _ in range(rounds):
+            presweep()
+            try:
+                start = perf_counter()
+                fn()
+                seconds.append(perf_counter() - start)
+            finally:
+                gc.enable()
+        record(figure, label, algorithm, statistics.median(seconds))
+        return
     try:
         benchmark.pedantic(fn, setup=presweep, rounds=rounds, iterations=1)
     finally:

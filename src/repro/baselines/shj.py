@@ -137,18 +137,16 @@ class SHJ(SignatureJoinBase):
         grown = int(math.log2(s_size)) + 2 if s_size > 0 else 1
         return max(1, min(self.partial_cap, grown, bits))
 
-    def _build_index(self, s: Relation, stats: JoinStats) -> None:
+    def _build_index(self, s: Relation, signatures: list[int], stats: JoinStats) -> None:
         assert self.scheme is not None
         bits = self.scheme.bits
         self.partial_bits = self._resolve_partial(len(s), bits)
         stats.extras["partial_bits"] = self.partial_bits
         buckets: dict[int, list[_Entry]] = {}
-        signature = self.scheme.signature
         gov = governor("build", stats)
-        for rec in s:
+        for rec, sig in zip(s, signatures):
             if gov is not None:
                 gov.tick()
-            sig = signature(rec.elements)
             key = bit_segment(sig, 0, self.partial_bits, bits)
             entry = _Entry(sig, CandidateGroup(rec.elements, rec.rid))
             bucket = buckets.get(key)

@@ -9,9 +9,10 @@ Patricia trie for PTSJ/Algorithm 5).
 
 :class:`SignatureJoinBase` is that skeleton.  Subclasses provide the index
 (:meth:`_build_index`) and the subset enumeration
-(:meth:`_enumerate_groups`); the shared :class:`SignaturePreparedIndex`
-implements lines 4–8 of Algorithm 1 as a streaming per-record probe,
-including the merge-identical-sets output expansion (Sec. III-E1).
+(:meth:`_enumerate_groups`, or a kernel trie pack via :meth:`_pack_trie`);
+the shared :class:`SignaturePreparedIndex` implements lines 4–8 of
+Algorithm 1 as a streaming per-record probe and as a blockwise batch
+probe, including the merge-identical-sets output expansion (Sec. III-E1).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.core.base import (
     PreparedIndex,
     SetContainmentJoin,
 )
-from repro.governance.policy import governor
+from repro.governance.policy import DEFAULT_POLL_INTERVAL, governor
 from repro.kernels import KernelBackend, SignaturePack, get_backend
 from repro.obs.tracer import current_tracer
 from repro.obs.clock import perf_counter
@@ -63,10 +64,12 @@ class SignaturePreparedIndex(PreparedIndex):
     def __init__(self, algorithm: "SignatureJoinBase", relation: Relation) -> None:
         super().__init__(algorithm.name, relation)
         self._algorithm = algorithm
-        # Relation-wide packed signatures, filled in by ``_prepare`` right
-        # after the build (one kernel pack shared by every probe batch).
+        # Kernel packs, filled in by ``_prepare`` right after the build and
+        # shared by every probe batch: the relation-wide packed
+        # signatures, and the batch subset walk's trie pack (PTSJ only).
         self._kernel: KernelBackend | None = None
         self._signature_pack: SignaturePack | None = None
+        self._trie_pack: Any = None
         self._pack_rids: tuple[int, ...] = ()
 
     @property
@@ -98,75 +101,103 @@ class SignaturePreparedIndex(PreparedIndex):
                     yield from group.ids
 
     def _probe_all(self, r: Relation, stats: JoinStats) -> list[tuple[int, int]]:
-        """Batch probe; when a tracer is active, split filter from verify.
+        """Algorithm 1 lines 4–8 for a whole relation, one block at a time.
+
+        Each block of at most :data:`DEFAULT_POLL_INTERVAL` records is
+        hashed, then filtered — PTSJ with one kernel
+        ``subset_leaves_batch`` call over the block, the other signature
+        joins with their per-record enumeration — and then verified in
+        record order, so pairs, pair order and every counter equal the
+        streaming :meth:`probe`'s.  Each record ticks the governor once;
+        under a poll interval shorter than a block, blocks shrink to it,
+        so polls fall between blocks and no more than one interval of
+        records is ever walked unpolled.
 
         The paper's Sec. III-C cost model separates the subset-enumeration
         cost (``V·|R|`` node visits) from the verification cost
-        (``N·|R|`` exact set comparisons); under an active tracer this
-        override times the two aggregates separately and reports them as
-        ``signature_filter`` / ``verify`` child spans of ``probe``.  The
-        un-traced path takes the base class's streaming loop untouched —
-        both paths emit identical pairs (in the same order) and identical
-        counters, which ``tests/test_differential.py`` locks in.
+        (``N·|R|`` exact set comparisons); under an active tracer the two
+        aggregates are reported as ``signature_filter`` / ``verify`` child
+        spans of ``probe``.
         """
-        tracer = current_tracer()
-        if not tracer.enabled:
-            return super()._probe_all(r, stats)
         perf = perf_counter
         signature = self.scheme.signature
         enumerate_groups = self._algorithm._enumerate_groups
-        candidates_before = stats.candidates
+        trie_pack = self._trie_pack
+        walk = self.kernel.subset_leaves_batch
+        gov = governor("probe", stats)
+        block = DEFAULT_POLL_INTERVAL
+        if gov is not None:
+            block = min(block, gov.policy.poll_interval)
+        records = tuple(r)
         visits_before = stats.node_visits
         filter_seconds = 0.0
         verify_seconds = 0.0
         leaf_hits = 0
+        candidates = 0
         pairs: list[tuple[int, int]] = []
         append = pairs.append
-        gov = governor("probe", stats)
-        for rec in r:
-            if gov is not None:
-                gov.tick()
-            r_set = rec.elements
-            r_id = rec.rid
+        for start in range(0, len(records), block):
+            chunk = records[start:start + block]
             t0 = perf()
-            group_lists = list(enumerate_groups(signature(r_set), stats))
+            sigs: list[int] = []
+            for rec in chunk:
+                if gov is not None:
+                    gov.tick()
+                sigs.append(signature(rec.elements))
+            if trie_pack is not None:
+                counts, leaves, visits = walk(trie_pack, sigs)
+                stats.node_visits += visits
+            else:
+                counts = []
+                leaves = []
+                for sig in sigs:
+                    found = list(enumerate_groups(sig, stats))
+                    counts.append(len(found))
+                    leaves.extend(found)
             t1 = perf()
+            leaf_hits += len(leaves)
+            pos = 0
+            for rec, count in zip(chunk, counts):
+                if not count:
+                    continue
+                r_set = rec.elements
+                r_id = rec.rid
+                for groups in leaves[pos:pos + count]:
+                    for group in groups:
+                        candidates += 1
+                        if group.elements <= r_set:
+                            for s_id in group.ids:
+                                append((r_id, s_id))
+                pos += count
             filter_seconds += t1 - t0
-            leaf_hits += len(group_lists)
-            for groups in group_lists:
-                for group in groups:
-                    stats.candidates += 1
-                    stats.verifications += 1
-                    if group.elements <= r_set:
-                        for s_id in group.ids:
-                            append((r_id, s_id))
             verify_seconds += perf() - t1
-        # mirror=False: the enclosing probe span already counts these
-        # quantities into the registry; these records only attribute the
-        # per-phase breakdown inside the span tree.
-        tracer.record(
-            "signature_filter",
-            filter_seconds,
-            {
-                "node_visits": stats.node_visits - visits_before,
-                "leaf_hits": leaf_hits,
-            },
-            calls=len(r),
-            mirror=False,
-        )
-        tracer.record(
-            "verify",
-            verify_seconds,
-            {
-                "candidates": stats.candidates - candidates_before,
-                "pairs": len(pairs),
-            },
-            calls=len(r),
-            mirror=False,
-        )
-        if tracer.registry is not None:
-            # leaf_hits has no other registry source.
-            tracer.registry.counter("leaf_hits").inc(leaf_hits)
+        stats.candidates += candidates
+        stats.verifications += candidates
+        tracer = current_tracer()
+        if tracer.enabled:
+            # mirror=False: the enclosing probe span already counts these
+            # quantities into the registry; these records only attribute
+            # the per-phase breakdown inside the span tree.
+            tracer.record(
+                "signature_filter",
+                filter_seconds,
+                {
+                    "node_visits": stats.node_visits - visits_before,
+                    "leaf_hits": leaf_hits,
+                },
+                calls=len(records),
+                mirror=False,
+            )
+            tracer.record(
+                "verify",
+                verify_seconds,
+                {"candidates": candidates, "pairs": len(pairs)},
+                calls=len(records),
+                mirror=False,
+            )
+            if tracer.registry is not None:
+                # leaf_hits has no other registry source.
+                tracer.registry.counter("leaf_hits").inc(leaf_hits)
         return pairs
 
     # ------------------------------------------------------------------
@@ -211,12 +242,23 @@ class SignaturePreparedIndex(PreparedIndex):
         return [rids[i] for i in rows]
 
     def memory_objects(self, probe_relation: Relation | None = None) -> list[Any]:
+        """The index structure plus every kernel pack built over it.
+
+        Packs that share objects with the structure (the python trie pack
+        *is* the trie; trie packs share leaf payload lists) count once
+        under a shared ``deep_sizeof`` walk.
+        """
         objs: list[Any] = []
-        for attr in ("trie", "buckets"):
+        for attr in ("trie", "buckets", "bucket_packs"):
             value = getattr(self._algorithm, attr, None)
             if value is not None:
                 objs.append(value)
-        return objs or [self._algorithm]
+        if not objs:
+            objs.append(self._algorithm)
+        for pack in (self._signature_pack, self._trie_pack):
+            if pack is not None:
+                objs.append(pack)
+        return objs
 
 
 class SignatureJoinBase(SetContainmentJoin):
@@ -270,8 +312,12 @@ class SignatureJoinBase(SetContainmentJoin):
     # Template hooks
     # ------------------------------------------------------------------
     @abstractmethod
-    def _build_index(self, s: Relation, stats: JoinStats) -> None:
-        """Index every tuple of ``s`` under its signature (Alg. 1 lines 1–3)."""
+    def _build_index(self, s: Relation, signatures: list[int], stats: JoinStats) -> None:
+        """Index every tuple of ``s`` under its signature (Alg. 1 lines 1–3).
+
+        ``signatures[i]`` is the signature of the ``i``-th tuple of ``s``,
+        hashed once by :meth:`_prepare`.
+        """
 
     @abstractmethod
     def _enumerate_groups(self, signature: int, stats: JoinStats) -> Iterable[list[CandidateGroup]]:
@@ -281,6 +327,15 @@ class SignatureJoinBase(SetContainmentJoin):
         line 5 — SHJENUM, TRIEENUM or PATRICIAENUM.
         """
 
+    def _pack_trie(self, kernel: KernelBackend) -> Any:
+        """The kernel's pack of the built trie, or ``None``.
+
+        An index with a trie pack answers every probe block with one
+        ``kernel.subset_leaves_batch`` call instead of per-record
+        :meth:`_enumerate_groups`; only PTSJ's Patricia trie has one.
+        """
+        return None
+
     # ------------------------------------------------------------------
     # Template body
     # ------------------------------------------------------------------
@@ -288,26 +343,29 @@ class SignatureJoinBase(SetContainmentJoin):
         bits = self._choose_bits(probe_hint, s)
         self.scheme = self.scheme_factory(bits)
         build_stats = JoinStats(algorithm=self.name)
-        self._build_index(s, build_stats)
+        # Hash S once: the index build and the relation-wide kernel pack
+        # share the signatures.  This loop's polls stay out of
+        # build_stats, so ``deadline_polls`` still counts the index
+        # build's loop alone.
+        signature = self.scheme.signature
+        signatures: list[int] = []
+        gov = governor("build")
+        for rec in s:
+            if gov is not None:
+                gov.tick()
+            signatures.append(signature(rec.elements))
+        self._build_index(s, signatures, build_stats)
         # Snapshot the instance so later prepare() calls (which rebind fresh
         # structures) cannot invalidate this index.
         index = SignaturePreparedIndex(copy.copy(self), s)
         index.signature_bits = bits
         index.index_nodes = build_stats.index_nodes
         index.build_extras = dict(build_stats.extras)
-        # Pack the whole relation's signatures once; cached on the index
-        # so every probe batch (and the scan prefilters) reuses it.
+        # Pack once; cached on the index so every probe batch (and the
+        # scan prefilters) reuses the packs.
         kernel = get_backend()
-        signature = self.scheme.signature
-        sigs: list[int] = []
-        rids: list[int] = []
-        gov = governor("build", build_stats)
-        for rec in s:
-            if gov is not None:
-                gov.tick()
-            sigs.append(signature(rec.elements))
-            rids.append(rec.rid)
         index._kernel = kernel
-        index._signature_pack = kernel.pack_signatures(sigs, bits)
-        index._pack_rids = tuple(rids)
+        index._signature_pack = kernel.pack_signatures(signatures, bits)
+        index._trie_pack = self._pack_trie(kernel)
+        index._pack_rids = tuple(rec.rid for rec in s)
         return index

@@ -15,18 +15,22 @@ Index side (Algorithm 1 lines 1–3):
     leaf, so each duplicated set costs one comparison total.
 
 Probe side:
-    for each R-tuple, :meth:`PatriciaTrie.subset_leaves` returns the leaves
-    whose signature is contained in the probe signature; each group in each
-    leaf is verified with one exact ``⊆`` check.
+    for each R-tuple, Algorithm 5 finds the leaves whose signature is
+    contained in the probe signature; each group in each leaf is verified
+    with one exact ``⊆`` check.  A batch probe runs the walk for a whole
+    block of R at once through the kernel's ``subset_leaves_batch`` over
+    a trie pack built at prepare time; a streaming single-record probe
+    uses :meth:`PatriciaTrie.subset_leaves`, the reference walk.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Any, Iterator
 
 from repro.core.base import CandidateGroup, JoinStats
 from repro.core.framework import SignatureJoinBase, insert_into_groups
 from repro.governance.policy import governor
+from repro.kernels import KernelBackend
 from repro.relations.relation import Relation
 from repro.tries.patricia import PatriciaTrie
 
@@ -60,28 +64,34 @@ class PTSJ(SignatureJoinBase):
         self.merge_identical = merge_identical
         self.trie: PatriciaTrie | None = None
 
-    def _build_index(self, s: Relation, stats: JoinStats) -> None:
+    def _build_index(self, s: Relation, signatures: list[int], stats: JoinStats) -> None:
         assert self.scheme is not None
         trie = PatriciaTrie(self.scheme.bits)
-        signature = self.scheme.signature
         gov = governor("build", stats)
         if self.merge_identical:
-            for rec in s:
+            for rec, sig in zip(s, signatures):
                 if gov is not None:
                     gov.tick()
-                insert_into_groups(trie.insert(signature(rec.elements)), rec)
+                insert_into_groups(trie.insert(sig), rec)
         else:
-            for rec in s:
+            for rec, sig in zip(s, signatures):
                 if gov is not None:
                     gov.tick()
-                trie.insert(signature(rec.elements)).append(
-                    CandidateGroup(rec.elements, rec.rid)
-                )
+                trie.insert(sig).append(CandidateGroup(rec.elements, rec.rid))
         self.trie = trie
         stats.index_nodes = trie.node_count()
 
+    def _pack_trie(self, kernel: KernelBackend) -> Any:
+        """The trie packed for the kernel's batch subset walk."""
+        return kernel.pack_trie(self.trie)
+
     def _enumerate_groups(self, signature: int, stats: JoinStats) -> Iterator[list[CandidateGroup]]:
-        """PATRICIAENUM (Algorithm 5) via the trie's subset walk."""
+        """PATRICIAENUM (Algorithm 5) via the trie's subset walk.
+
+        Used by the streaming ``probe``; batch probes walk the kernel's
+        trie pack instead (``_pack_trie``), with the same leaves, leaf
+        order and node visits.
+        """
         trie = self.trie
         assert trie is not None
         leaves = trie.subset_leaves(signature)

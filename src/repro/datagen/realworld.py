@@ -143,10 +143,13 @@ def make_surrogate(name: str, size: int, seed: int = 0) -> Relation:
             chosen.update(int(x) for x in batch)
             attempts += 1
             if attempts > 64:
-                remaining = np.setdiff1d(np.arange(domain), np.fromiter(chosen, dtype=np.int64))
-                chosen.update(
-                    int(x) for x in rng.choice(remaining, size=k - len(chosen), replace=False)
-                )
+                # Top up with uniform draws, unless the last Zipf batch
+                # already overshot k (the trim below handles that case).
+                if len(chosen) <= k:
+                    remaining = np.setdiff1d(np.arange(domain), np.fromiter(chosen, dtype=np.int64))
+                    chosen.update(
+                        int(x) for x in rng.choice(remaining, size=k - len(chosen), replace=False)
+                    )
                 break
         if len(chosen) > k:
             kept = rng.choice(np.fromiter(sorted(chosen), dtype=np.int64), size=k, replace=False)

@@ -161,23 +161,20 @@ class MWTSJ(SignatureJoinBase):
         self.merge_identical = merge_identical
         self.trie: MultiwayTrie | None = None
 
-    def _build_index(self, s: Relation, stats: JoinStats) -> None:
+    def _build_index(self, s: Relation, signatures: list[int], stats: JoinStats) -> None:
         assert self.scheme is not None
         trie = MultiwayTrie(self.scheme.bits)
-        signature = self.scheme.signature
         gov = governor("build", stats)
         if self.merge_identical:
-            for rec in s:
+            for rec, sig in zip(s, signatures):
                 if gov is not None:
                     gov.tick()
-                insert_into_groups(trie.insert(signature(rec.elements)), rec)
+                insert_into_groups(trie.insert(sig), rec)
         else:
-            for rec in s:
+            for rec, sig in zip(s, signatures):
                 if gov is not None:
                     gov.tick()
-                trie.insert(signature(rec.elements)).append(
-                    CandidateGroup(rec.elements, rec.rid)
-                )
+                trie.insert(sig).append(CandidateGroup(rec.elements, rec.rid))
         self.trie = trie
         stats.index_nodes = trie.node_count()
 

@@ -33,6 +33,16 @@ The ABI is deliberately small:
     PRETTI-family refinement step.  The adaptive gallop/merge crossover
     policy ("Fast Set Intersection in Memory") lives behind this call.
 
+``pack_trie(trie)`` / ``subset_leaves_batch(pack, probes)``
+    PTSJ's Patricia subset walk (Algorithm 5) for a whole block of probe
+    signatures at once.  ``pack_trie`` prepares a built
+    :class:`~repro.tries.patricia.PatriciaTrie` once, at index build
+    time; ``subset_leaves_batch`` returns ``(counts, leaves, visits)``:
+    ``counts[i]`` leaves belong to ``probes[i]``, ``leaves`` holds their
+    payload lists back to back in exactly the order
+    ``trie.subset_leaves(probes[i])`` returns them, and ``visits`` is
+    the sum of ``trie.visits_last_query`` over the batch.
+
 Parity contract
 ---------------
 Backends must be *bit-for-bit interchangeable*: for any valid inputs,
@@ -50,9 +60,12 @@ inputs with duplicates is backend-defined.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import ReproError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.tries.patricia import PatriciaTrie
 
 __all__ = ["KernelBackend", "KernelUnavailableError", "SignaturePack"]
 
@@ -133,6 +146,35 @@ class KernelBackend(ABC):
     @abstractmethod
     def intersect_sorted(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         """Intersect two strictly-increasing integer sequences."""
+
+    # ------------------------------------------------------------------
+    # Patricia subset walk
+    # ------------------------------------------------------------------
+    @abstractmethod
+    def pack_trie(self, trie: "PatriciaTrie") -> Any:
+        """Prepare a built trie for :meth:`subset_leaves_batch`.
+
+        The pack may copy the trie's layout, but the batch walk must
+        still answer for the trie as it is when walked: a backend whose
+        pack is a copy checks ``trie.version`` and walks the trie itself
+        once a leaf has been added or removed since packing.
+        """
+
+    @abstractmethod
+    def subset_leaves_batch(
+        self, pack: Any, probes: Sequence[int]
+    ) -> tuple[list[int], list[Any], int]:
+        """Algorithm 5 for every probe: ``(counts, leaves, visits)``.
+
+        ``leaves`` concatenates, probe by probe, the payload lists
+        (``leaf.items``) of the leaves ``trie.subset_leaves(probe)``
+        returns, in that order; ``counts[i]`` says how many belong to
+        ``probes[i]``.  ``visits`` sums the per-probe node visits.
+
+        Raises:
+            repro.errors.SignatureError: If a probe does not fit the
+                trie's width.
+        """
 
     # ------------------------------------------------------------------
     # Identity / pickling

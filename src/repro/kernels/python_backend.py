@@ -2,8 +2,10 @@
 
 This backend *is* the behaviour every other backend must reproduce
 bit-for-bit: arbitrary-precision-int signature filtering
-(``sub & ~sup == 0``) and the adaptive merge/galloping sorted-list
-intersection that previously lived in :mod:`repro.index.inverted`.
+(``sub & ~sup == 0``), the adaptive merge/galloping sorted-list
+intersection that previously lived in :mod:`repro.index.inverted`, and
+the Patricia subset walk as a loop over
+:meth:`~repro.tries.patricia.PatriciaTrie.subset_leaves`.
 It has no dependencies beyond the standard library, so it is always
 available and serves as the auto-selection fallback.
 """
@@ -11,9 +13,12 @@ available and serves as the auto-selection fallback.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.kernels.base import KernelBackend, SignaturePack
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.tries.patricia import PatriciaTrie
 
 __all__ = [
     "GALLOP_RATIO",
@@ -108,3 +113,22 @@ class PythonKernel(KernelBackend):
         if len(b) > GALLOP_RATIO * len(a):
             return gallop_intersect(a, b)
         return merge_intersect(a, b)
+
+    def pack_trie(self, trie: "PatriciaTrie") -> "PatriciaTrie":
+        """The reference walk needs no other layout: the pack is the trie."""
+        return trie
+
+    def subset_leaves_batch(
+        self, pack: Any, probes: Sequence[int]
+    ) -> tuple[list[int], list[Any], int]:
+        trie: PatriciaTrie = pack
+        walk = trie.subset_leaves
+        counts: list[int] = []
+        leaves: list[Any] = []
+        visits = 0
+        for probe in probes:
+            found = walk(probe)
+            visits += trie.visits_last_query
+            counts.append(len(found))
+            leaves.extend([leaf.items for leaf in found])
+        return counts, leaves, visits

@@ -89,6 +89,16 @@ class ModuloScheme(SignatureScheme):
     def bit_of(self, element: int) -> int:
         return element % self.bits
 
+    def signature(self, elements: Iterable[int]) -> int:
+        """The shared fold with ``bit_of`` inlined (the hot hash of every
+        signature join); returns exactly the base class's ints."""
+        bits = self.bits
+        top = bits - 1
+        sig = 0
+        for x in elements:
+            sig |= 1 << (top - x % bits)
+        return sig
+
 
 class ScrambleScheme(SignatureScheme):
     """Multiplicative scrambling before the modulo.

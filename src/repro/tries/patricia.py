@@ -121,6 +121,9 @@ class PatriciaTrie:
         self.root: PatriciaNode | None = None
         self.leaf_count = 0
         self.visits_last_query = 0
+        # Bumped whenever a leaf is added or removed, so a flattened copy
+        # (a kernel trie pack) can tell that it no longer matches.
+        self.version = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -165,6 +168,7 @@ class PatriciaTrie:
         leaf.signature = signature
         leaf.items = []
         self.leaf_count += 1
+        self.version += 1
         return leaf
 
     def _split(
@@ -231,6 +235,7 @@ class PatriciaTrie:
             return None
 
         self.leaf_count -= 1
+        self.version += 1
         if parent is None:
             # The leaf was the root: the trie becomes empty.
             self.root = None

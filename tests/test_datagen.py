@@ -219,6 +219,22 @@ class TestSurrogates:
     def test_determinism(self):
         assert make_surrogate("flickr", 100, seed=3) == make_surrogate("flickr", 100, seed=3)
 
+    def test_overshooting_last_batch_is_trimmed_not_topped_up(self):
+        """A set that needs more than 64 Zipf batches can overshoot its
+        cardinality in the last one; the uniform top-up must then be
+        skipped (it used to ask for a negative number of elements)."""
+        spec = SURROGATE_SPECS["twitter"]
+        rel = make_surrogate("twitter", 1500, seed=42032)
+        assert len(rel) == 1500
+        assert min(rec.cardinality for rec in rel) >= spec.min_cardinality
+
+    def test_surrogate_draws_are_pinned(self):
+        """The same seed keeps yielding the same relation (goldens and
+        benchmark data are built from these draws)."""
+        assert make_surrogate("twitter", 300, seed=5).fingerprint() == (
+            "rf1:bd418c89545cf5285c46b13945b9b8b0c849e79a7ee041620d553845c5ada86d"
+        )
+
     def test_scaled_sizes_preserve_ratios(self):
         sizes = scaled_sizes(169)
         assert sizes["webbase"] == 169

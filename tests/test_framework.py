@@ -64,7 +64,7 @@ class _RecordingJoin(SignatureJoinBase):
         super().__init__(**kwargs)
         self.groups: list[CandidateGroup] = []
 
-    def _build_index(self, s, stats):
+    def _build_index(self, s, signatures, stats):
         for rec in s:
             insert_into_groups(self.groups, rec)
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import SignatureError
 from repro.signatures.bitmap import is_subset_sig, sig_to_bits
-from repro.signatures.hashing import ModuloScheme, ScrambleScheme, signature_of
+from repro.signatures.hashing import ModuloScheme, ScrambleScheme, SignatureScheme, signature_of
 
 
 class TestModuloScheme:
@@ -32,6 +32,12 @@ class TestModuloScheme:
         assert scheme.bit_of(0) == 0
         assert scheme.bit_of(8) == 0
         assert scheme.bit_of(13) == 5
+
+    @pytest.mark.parametrize("bits", [1, 7, 64, 120, 512])
+    def test_inlined_fold_equals_the_generic_fold(self, bits):
+        scheme = ModuloScheme(bits)
+        for elements in (frozenset(), {0}, {bits - 1, bits, 3 * bits + 5}, set(range(0, 2000, 7))):
+            assert scheme.signature(elements) == SignatureScheme.signature(scheme, elements)
 
     def test_same_bits_for_colliding_elements(self):
         scheme = ModuloScheme(4)

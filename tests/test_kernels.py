@@ -2,20 +2,27 @@
 
 Covers the registry (registration, selection order, the ``REPRO_KERNEL``
 override, error paths), the ABI parity contract between the ``python``
-and ``numpy`` backends, pickling-by-name, the relation-wide signature
-pack on prepared indexes, and the posting-list-ordered ``refine_many``.
+and ``numpy`` backends (signature filters, intersection and the batched
+Patricia subset walk), pickling-by-name, the kernel packs on prepared
+indexes (probing and memory accounting), and the posting-list-ordered
+``refine_many``.
 """
 
 from __future__ import annotations
 
+import operator
 import pickle
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import kernels
+from repro.bench.memory import deep_sizeof
 from repro.core.registry import make_algorithm
-from repro.errors import ReproError
+from repro.errors import CancelledError, ReproError, SignatureError
+from repro.governance import DEFAULT_POLL_INTERVAL, CancelToken, GovernancePolicy, govern
 from repro.index.inverted import InvertedIndex, intersect_sorted
 from repro.kernels import (
     KernelBackend,
@@ -27,6 +34,7 @@ from repro.kernels import (
     set_default_backend,
     use_backend,
 )
+from repro.kernels.numpy_backend import _SMALL_SUBSET_BATCH
 from repro.kernels.python_backend import (
     GALLOP_RATIO,
     PythonKernel,
@@ -35,6 +43,9 @@ from repro.kernels.python_backend import (
 )
 from repro.relations.relation import Relation, SetRecord
 from repro.signatures import bitmap
+from repro.signatures.hashing import ModuloScheme
+from repro.tries.patricia import PatriciaTrie
+from tests.conftest import random_relation
 
 BACKENDS = available_backends()
 HAS_NUMPY = "numpy" in BACKENDS
@@ -213,6 +224,243 @@ def test_gallop_and_merge_agree():
 
 def test_module_level_intersect_uses_active_backend():
     assert intersect_sorted([1, 3, 5, 9], [3, 4, 5, 10]) == [3, 5]
+
+
+# ----------------------------------------------------------------------
+# Batched Patricia subset walk: parity with the reference node walk
+# ----------------------------------------------------------------------
+#: Widths around the uint64 word boundaries, plus the SHJ-like and
+#: PTSJ-like signature lengths.
+WALK_WIDTHS = [1, 63, 64, 65, 120, 512]
+#: Batch sizes on both sides of the numpy frontier's crossover.
+WALK_BATCHES = [1, _SMALL_SUBSET_BATCH - 1, _SMALL_SUBSET_BATCH, 2 * _SMALL_SUBSET_BATCH + 3]
+
+
+def reference_walk(trie: PatriciaTrie, probes: list[int]):
+    """What ``subset_leaves_batch`` must return: the subset_leaves loop."""
+    counts, leaves, visits = [], [], 0
+    for probe in probes:
+        found = trie.subset_leaves(probe)
+        visits += trie.visits_last_query
+        counts.append(len(found))
+        leaves.extend(leaf.items for leaf in found)
+    return counts, leaves, visits
+
+
+def assert_walk_parity(backend: str, trie: PatriciaTrie, probes: list[int], pack=None) -> None:
+    kernel = get_backend(backend)
+    if pack is None:
+        pack = kernel.pack_trie(trie)
+    counts, leaves, visits = kernel.subset_leaves_batch(pack, probes)
+    expected_counts, expected_leaves, expected_visits = reference_walk(trie, probes)
+    assert counts == expected_counts
+    assert visits == expected_visits
+    # The very payload lists, in the reference order (not equal copies).
+    assert len(leaves) == len(expected_leaves)
+    assert all(got is want for got, want in zip(leaves, expected_leaves))
+
+
+def build_trie(bits: int, signatures: list[int]) -> PatriciaTrie:
+    trie = PatriciaTrie(bits)
+    for i, sig in enumerate(signatures):
+        trie.insert(sig).append(i)
+    return trie
+
+
+@st.composite
+def walk_cases(draw, batch: int):
+    """A trie of sparse signatures and ``batch`` denser probes, some of
+    them built to cover a stored signature so leaves are actually hit."""
+    bits = draw(st.sampled_from(WALK_WIDTHS))
+    word = st.integers(min_value=0, max_value=(1 << bits) - 1)
+    stored = draw(st.lists(st.builds(operator.and_, word, word), max_size=40))
+    dense = st.builds(operator.or_, word, word)
+    probe = dense
+    if stored:
+        covering = st.builds(operator.or_, st.sampled_from(stored), word)
+        probe = st.one_of(dense, covering, st.just(0))
+    probes = draw(st.lists(probe, min_size=batch, max_size=batch))
+    return bits, stored, probes
+
+
+@pytest.mark.parametrize("batch", WALK_BATCHES)
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(data=st.data())
+def test_subset_leaves_batch_matches_node_walk(backend, batch, data):
+    bits, stored, probes = data.draw(walk_cases(batch))
+    assert_walk_parity(backend, build_trie(bits, stored), probes)
+
+
+@pytest.mark.parametrize("batch", [1, 2 * _SMALL_SUBSET_BATCH])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_subset_leaves_batch_edge_tries(backend, batch):
+    rng = random.Random(batch)
+    for bits in WALK_WIDTHS:
+        full = (1 << bits) - 1
+        tries = {
+            "empty": build_trie(bits, []),
+            "single leaf root": build_trie(bits, [rng.getrandbits(bits)]),
+            "zero signature": build_trie(bits, [0, full, rng.getrandbits(bits)]),
+        }
+        probes = [0, full] + [rng.getrandbits(bits) for _ in range(batch)]
+        for name, trie in tries.items():
+            assert_walk_parity(backend, trie, probes[:batch])
+            assert_walk_parity(backend, trie, [0] * batch)
+        # The one-leaf root is a leaf: one visit per probe, a hit iff covered.
+        root = tries["single leaf root"].root
+        kernel = get_backend(backend)
+        pack = kernel.pack_trie(tries["single leaf root"])
+        counts, leaves, visits = kernel.subset_leaves_batch(pack, [root.signature] * batch)
+        assert counts == [1] * batch and visits == batch
+        assert all(items is root.items for items in leaves)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_subset_leaves_batch_empty_batch(backend):
+    kernel = get_backend(backend)
+    for trie in (build_trie(64, []), build_trie(64, [3, 5, 1 << 63])):
+        assert kernel.subset_leaves_batch(kernel.pack_trie(trie), []) == ([], [], 0)
+
+
+@pytest.mark.parametrize("batch", [1, 2 * _SMALL_SUBSET_BATCH])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_subset_leaves_batch_rejects_oversized_probes(backend, batch):
+    kernel = get_backend(backend)
+    pack = kernel.pack_trie(build_trie(64, [3, 5]))
+    for bad in (1 << 64, -1):
+        with pytest.raises(SignatureError):
+            kernel.subset_leaves_batch(pack, [0] * (batch - 1) + [bad])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_pack_follows_leaves_added_or_removed_after_packing(backend):
+    rng = random.Random(17)
+    trie = build_trie(120, [rng.getrandbits(120) for _ in range(50)])
+    pack = get_backend(backend).pack_trie(trie)
+    probes = [rng.getrandbits(120) | rng.getrandbits(120) for _ in range(2 * _SMALL_SUBSET_BATCH)]
+    trie.insert(0).append("added")
+    assert_walk_parity(backend, trie, probes, pack)
+    trie.remove(next(trie.leaves()).signature)
+    assert_walk_parity(backend, trie, probes, pack)
+
+
+def test_python_trie_pack_is_the_trie():
+    trie = build_trie(16, [1, 2, 3])
+    assert get_backend("python").pack_trie(trie) is trie
+
+
+# ----------------------------------------------------------------------
+# Blockwise batch probes of prepared signature indexes
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def block_pair():
+    """An R of more than two probe blocks, and a small S."""
+    s = random_relation(200, 6, 64, seed=731)
+    r = random_relation(2 * DEFAULT_POLL_INTERVAL + 300, 14, 64, seed=732)
+    return r, s
+
+
+@pytest.mark.parametrize("algorithm", ["ptsj", "shj", "tsj", "mwtsj"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_batch_probe_matches_streaming_probe(backend, algorithm, block_pair):
+    """``probe_many`` walks R in blocks; pairs, pair order and counters
+    equal one streaming ``probe`` per record."""
+    r, s = block_pair
+    with use_backend(backend):
+        index = make_algorithm(algorithm).prepare(s, probe_hint=r)
+    batch = index.probe_many(r)
+    stream_stats = index._new_probe_stats()
+    streamed = [(rec.rid, sid) for rec in r for sid in index.probe(rec, stream_stats)]
+    assert batch.pairs == streamed
+    for counter in ("candidates", "verifications", "node_visits"):
+        assert getattr(batch.stats, counter) == getattr(stream_stats, counter)
+    for key, value in stream_stats.extras.items():
+        assert batch.stats.extras.get(key) == value
+
+
+class _CancelOnWalk:
+    """Kernel proxy that trips ``token`` inside the second block's walk."""
+
+    def __init__(self, inner, token: CancelToken) -> None:
+        self.inner = inner
+        self.token = token
+        self.walks = 0
+
+    def subset_leaves_batch(self, pack, probes):
+        self.walks += 1
+        if self.walks == 2:
+            self.token.cancel("fired mid-probe")
+        return self.inner.subset_leaves_batch(pack, probes)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class _CountingScheme(ModuloScheme):
+    """Counts hashed records, i.e. records the probe loop has reached."""
+
+    def __init__(self, bits: int) -> None:
+        super().__init__(bits)
+        self.hashed = 0
+
+    def signature(self, elements):
+        self.hashed += 1
+        return super().signature(elements)
+
+
+@pytest.mark.parametrize("poll_interval", [DEFAULT_POLL_INTERVAL, 100])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_cancel_during_batched_ptsj_probe(backend, poll_interval, block_pair):
+    r, s = block_pair
+    with use_backend(backend):
+        index = make_algorithm("ptsj").prepare(s, probe_hint=r)
+    token = CancelToken()
+    kernel = _CancelOnWalk(index.kernel, token)
+    index._kernel = kernel
+    scheme = index._algorithm.scheme = _CountingScheme(index.scheme.bits)
+    block = min(poll_interval, DEFAULT_POLL_INTERVAL)
+    assert len(r) > 2 * block
+    with govern(GovernancePolicy(cancel=token, poll_interval=poll_interval)):
+        with pytest.raises(CancelledError, match="fired mid-probe"):
+            index.probe_many(r)
+    # The cancel fired inside block 2's walk; block 3 was never walked,
+    # and the poll that raised came within one interval of records.
+    assert kernel.walks == 2
+    assert 2 * block <= scheme.hashed <= 2 * block + poll_interval
+
+
+# ----------------------------------------------------------------------
+# Memory accounting covers the kernel packs
+# ----------------------------------------------------------------------
+def _graph_bytes(objs) -> tuple[int, set[int]]:
+    seen: set[int] = set()
+    return sum(deep_sizeof(obj, seen) for obj in objs), seen
+
+
+#: The numpy arrays a numpy signature or trie pack holds.
+_PACK_ARRAYS = ("matrix", "inverse", "prefixes", "left", "right", "branch_word", "branch_mask")
+
+
+@pytest.mark.parametrize("algorithm,structure", [("ptsj", "trie"), ("shj", "buckets")])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_memory_objects_count_kernel_packs(backend, algorithm, structure):
+    s = random_relation(120, 8, 96, seed=741)
+    with use_backend(backend):
+        index = make_algorithm(algorithm).prepare(s)
+    bucket_packs = getattr(index._algorithm, "bucket_packs", None)  # SHJ only
+    total, _ = _graph_bytes(index.memory_objects())
+    structure_bytes, seen = _graph_bytes([getattr(index._algorithm, structure)])
+    packs = [index._signature_pack, index._trie_pack, bucket_packs]
+    pack_bytes = sum(deep_sizeof(pack, seen) for pack in packs if pack is not None)
+    assert pack_bytes > 0
+    assert total == structure_bytes + pack_bytes
+    # Under numpy every pack array's buffer is among the counted bytes.
+    flat = [index._signature_pack, index._trie_pack, *(bucket_packs or {}).values()]
+    arrays = [getattr(pack, name) for pack in flat for name in _PACK_ARRAYS if hasattr(pack, name)]
+    assert bool(arrays) == (backend == "numpy")
+    assert pack_bytes >= sum(array.nbytes for array in arrays)
 
 
 # ----------------------------------------------------------------------

@@ -238,6 +238,23 @@ class TestExtensionReuse:
             got = {rid for g in patricia.subsets_of(rec.elements) for rid in g.ids}
             assert got == set(index.probe(rec, JoinStats()))
 
+    def test_batch_probe_sees_sets_added_through_the_adopted_trie(self):
+        """The adopted trie is the index's own: sets added through the
+        extension index show up in later batch probes, exactly as in
+        streaming probes (R is large enough for the batched walk)."""
+        from repro.extensions import PatriciaSetIndex
+
+        r = random_relation(200, 12, 40, seed=31)
+        s = random_relation(100, 6, 40, seed=32)
+        index = prepare_index(s, algorithm="ptsj")
+        patricia = PatriciaSetIndex.from_prepared(index)
+        for i in range(30):
+            patricia.add(1000 + i, frozenset({i % 40, (7 * i) % 40}))
+        patricia.discard(s[0].rid, s[0].elements)
+        streamed = [(rec.rid, sid) for rec in r for sid in index.probe(rec, JoinStats())]
+        assert index.probe_many(r).pairs == streamed
+        assert any(sid >= 1000 for _, sid in streamed)
+
     def test_from_prepared_rejects_non_patricia_indexes(self, small_pair):
         from repro.extensions import PatriciaSetIndex
 
