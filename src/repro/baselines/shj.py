@@ -33,7 +33,7 @@ from repro.core.base import CandidateGroup, JoinStats
 from repro.core.framework import SignatureJoinBase
 from repro.errors import AlgorithmError
 from repro.governance.policy import governor
-from repro.kernels import KernelBackend, SignaturePack, get_backend
+from repro.kernels import KernelBackend, get_backend
 from repro.relations.relation import Relation
 from repro.signatures.bitmap import bit_segment
 
@@ -119,7 +119,7 @@ class SHJ(SignatureJoinBase):
         self.partial_cap = partial_cap
         self.partial_bits = 0
         self.buckets: dict[int, list[_Entry]] = {}
-        self.bucket_packs: dict[int, SignaturePack] = {}
+        self.bucket_packs: dict[int, tuple[int, ...]] = {}
         self._kernel: KernelBackend | None = None
 
     def _choose_bits(self, r: Relation | None, s: Relation) -> int:
@@ -162,7 +162,7 @@ class SHJ(SignatureJoinBase):
         kernel = get_backend()
         self._kernel = kernel
         self.bucket_packs = {
-            key: kernel.pack_signatures([e.signature for e in bucket], bits)
+            key: kernel.pack_signatures(e.signature for e in bucket)
             for key, bucket in buckets.items()
         }
         stats.index_nodes = len(buckets)

@@ -3,9 +3,8 @@
 The paper's Fig. 6a reports *main-memory consumption per tuple* of each
 algorithm's index.  :func:`deep_sizeof` recursively measures a Python
 object graph (handling ``__slots__``, dicts, sequences and shared
-sub-objects), and :func:`index_memory_bytes` knows which attributes
-constitute each algorithm's index so per-algorithm footprints are
-comparable.
+sub-objects); :func:`memory_per_tuple` applies it to what a prepared
+index reports through ``memory_objects``.
 
 Absolute bytes are Python-object bytes (boxed ints, dict overhead), far
 above the paper's Java numbers — the reproduction target is the *relative*
@@ -16,13 +15,19 @@ cardinality, SHJ/PTSJ insensitive to it (Fig. 6a).
 from __future__ import annotations
 
 import sys
+from types import ModuleType
 from typing import Any
 
-from repro.core.base import SetContainmentJoin
 from repro.core.registry import make_algorithm
+from repro.kernels import KernelBackend
 from repro.relations.relation import Relation
 
-__all__ = ["deep_sizeof", "index_memory_bytes", "memory_per_tuple"]
+__all__ = ["deep_sizeof", "memory_per_tuple"]
+
+#: Process-wide objects an index may reference but does not own: a
+#: module (and through it ``sys.modules``) and the kernel backend
+#: singleton.  The walk neither counts nor follows them.
+_SHARED = (ModuleType, KernelBackend)
 
 
 def deep_sizeof(obj: Any, _seen: set[int] | None = None) -> int:
@@ -31,8 +36,10 @@ def deep_sizeof(obj: Any, _seen: set[int] | None = None) -> int:
     Each distinct object is counted once (cycles and sharing are safe).
     Containers (dict/list/tuple/set/frozenset), instance ``__dict__`` and
     ``__slots__`` attributes are followed; atomic values are measured with
-    :func:`sys.getsizeof`.  The walk is iterative, so arbitrarily deep
-    structures (e.g. PRETTI tries over high-cardinality sets) are safe.
+    :func:`sys.getsizeof`.  Modules and kernel backends are shared
+    process state, not part of any index: they count zero and are not
+    followed.  The walk is iterative, so arbitrarily deep structures
+    (e.g. PRETTI tries over high-cardinality sets) are safe.
     """
     seen = _seen if _seen is not None else set()
     total = 0
@@ -43,6 +50,8 @@ def deep_sizeof(obj: Any, _seen: set[int] | None = None) -> int:
         if oid in seen:
             continue
         seen.add(oid)
+        if isinstance(current, _SHARED):
+            continue
         total += sys.getsizeof(current)
         if isinstance(current, dict):
             stack.extend(current.keys())
@@ -60,36 +69,6 @@ def deep_sizeof(obj: Any, _seen: set[int] | None = None) -> int:
                     if hasattr(current, slot):
                         stack.append(getattr(current, slot))
     return total
-
-
-#: Attributes holding each algorithm's index structures.
-_INDEX_ATTRIBUTES: dict[str, tuple[str, ...]] = {
-    "ptsj": ("trie",),
-    "tsj": ("trie",),
-    "shj": ("buckets",),
-    "pretti": ("trie", "index"),
-    "pretti+": ("trie", "index"),
-    "mwtsj": ("trie",),
-    "trie-trie": ("r_trie", "s_trie"),
-}
-
-
-def index_memory_bytes(algorithm: SetContainmentJoin) -> int:
-    """Deep size of the index structures built by ``algorithm``.
-
-    The algorithm must have executed a ``join`` or ``prepare`` already so
-    the structures exist (0 otherwise).  Unknown algorithms fall back to
-    measuring the whole instance.
-    """
-    attributes = _INDEX_ATTRIBUTES.get(algorithm.name)
-    if attributes is None:
-        return deep_sizeof(algorithm)
-    seen: set[int] = set()
-    return sum(
-        deep_sizeof(getattr(algorithm, attr), seen)
-        for attr in attributes
-        if getattr(algorithm, attr, None) is not None
-    )
 
 
 def memory_per_tuple(name: str, r: Relation, s: Relation, **kwargs) -> float:

@@ -525,70 +525,58 @@ def _cmd_join(args: argparse.Namespace) -> int:
 
 def _run_executor(args: argparse.Namespace, r, s, algorithm: str, kwargs: dict):
     """Run the executor ``--executor`` names, configured from the CLI flags."""
+    return _executor_join(args, args.executor, r, s, algorithm, kwargs,
+                          workers=args.workers, max_tuples=args.memory_budget)
+
+
+def _run_join_strategy(args: argparse.Namespace, r, s, algorithm: str, kwargs: dict):
+    """Dispatch one join per ``--strategy`` (runs under the active tracer).
+
+    ``parallel`` and ``disk`` go through the executor registry, as
+    ``--executor`` does: ``parallel`` runs the resilient executor when
+    any of ``--retries``/``--timeout-seconds``/``--no-fallback`` is
+    given, with ``--partitions`` workers; ``disk`` partitions S into
+    ``|S| / --partitions``-tuple pieces.
+    """
+    if args.strategy == "memory":
+        return set_containment_join(r, s, algorithm=algorithm, **kwargs)
+    if args.strategy == "psj":
+        from repro.core.registry import choose_algorithm_name
+        from repro.external.psj import psj_join
+
+        if algorithm.strip().lower() == "auto":
+            algorithm = choose_algorithm_name(s)
+        return psj_join(r, s, partitions=args.partitions, algorithm=algorithm, **kwargs)
+    if args.strategy == "disk":
+        per_part = max(1, len(s) // max(args.partitions, 1))
+        return _executor_join(args, "disk", r, s, algorithm, kwargs, max_tuples=per_part)
+    resilient = (args.retries > 0 or args.timeout_seconds is not None
+                 or args.no_fallback)
+    return _executor_join(args, "resilient" if resilient else "parallel", r, s,
+                          algorithm, kwargs, workers=args.partitions)
+
+
+def _executor_join(args: argparse.Namespace, name: str, r, s, algorithm: str,
+                   kwargs: dict, workers: int = 1, max_tuples: int | None = None):
+    """Build registry executor ``name`` from the CLI flags and run one join."""
     from repro.core.registry import choose_algorithm_name
     from repro.exec import RetryPolicy, executor_class
 
     if algorithm.strip().lower() == "auto":
         algorithm = choose_algorithm_name(s)
     options: dict = {}
-    if args.executor in ("parallel", "resilient", "sharded"):
-        options["workers"] = args.workers
-    if args.executor == "sharded" and args.shards is not None:
+    if name in ("parallel", "resilient", "sharded"):
+        options["workers"] = workers
+    if name == "sharded" and args.shards is not None:
         options["shards"] = args.shards
-    if args.executor in ("resilient", "sharded"):
+    if name in ("resilient", "sharded"):
         options["retry_policy"] = RetryPolicy(max_attempts=max(1, args.retries + 1))
         options["timeout_seconds"] = args.timeout_seconds
         options["fallback"] = not args.no_fallback
-    if args.executor == "disk" and args.memory_budget is not None:
-        options["max_tuples"] = args.memory_budget
-    executor = executor_class(args.executor)(algorithm=algorithm, **options, **kwargs)
+    if name == "disk" and max_tuples is not None:
+        options["max_tuples"] = max_tuples
+    executor = executor_class(name)(algorithm=algorithm, **options, **kwargs)
     return executor.join(r, s)
-
-
-def _run_join_strategy(args: argparse.Namespace, r, s, algorithm: str, kwargs: dict):
-    """Dispatch one join per ``--strategy`` (runs under the active tracer)."""
-    if args.strategy == "memory":
-        result = set_containment_join(r, s, algorithm=algorithm, **kwargs)
-    else:
-        from repro.core.registry import choose_algorithm_name
-
-        if algorithm.strip().lower() == "auto":
-            algorithm = choose_algorithm_name(s)
-        if args.strategy == "disk":
-            from repro.exec.disk import disk_partitioned_join
-
-            per_part = max(1, len(s) // max(args.partitions, 1))
-            result = disk_partitioned_join(r, s, algorithm=algorithm,
-                                           max_tuples=per_part, **kwargs)
-        elif args.strategy == "psj":
-            from repro.external.psj import psj_join
-
-            result = psj_join(r, s, partitions=args.partitions,
-                              algorithm=algorithm, **kwargs)
-        else:
-            resilient = (args.retries > 0 or args.timeout_seconds is not None
-                         or args.no_fallback)
-            if resilient:
-                from repro.exec.resilient import (
-                    ResilientParallelJoin,
-                    RetryPolicy,
-                )
-
-                executor = ResilientParallelJoin(
-                    algorithm=algorithm,
-                    workers=args.partitions,
-                    retry_policy=RetryPolicy(max_attempts=max(1, args.retries + 1)),
-                    timeout_seconds=args.timeout_seconds,
-                    fallback=not args.no_fallback,
-                    **kwargs,
-                )
-                result = executor.join(r, s)
-            else:
-                from repro.exec.parallel import parallel_join
-
-                result = parallel_join(r, s, algorithm=algorithm,
-                                       workers=args.partitions, **kwargs)
-    return result
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:

@@ -28,7 +28,7 @@ from repro.core.base import (
     SetContainmentJoin,
 )
 from repro.governance.policy import DEFAULT_POLL_INTERVAL, governor
-from repro.kernels import KernelBackend, SignaturePack, get_backend
+from repro.kernels import KernelBackend, get_backend
 from repro.obs.tracer import current_tracer
 from repro.obs.clock import perf_counter
 from repro.relations.relation import Relation, SetRecord
@@ -64,13 +64,11 @@ class SignaturePreparedIndex(PreparedIndex):
     def __init__(self, algorithm: "SignatureJoinBase", relation: Relation) -> None:
         super().__init__(algorithm.name, relation)
         self._algorithm = algorithm
-        # Kernel packs, filled in by ``_prepare`` right after the build and
-        # shared by every probe batch: the relation-wide packed
-        # signatures, and the batch subset walk's trie pack (PTSJ only).
+        # Filled in by ``_prepare`` right after the build: the kernel
+        # backend, and the batch subset walk's trie pack (PTSJ only),
+        # shared by every probe batch.
         self._kernel: KernelBackend | None = None
-        self._signature_pack: SignaturePack | None = None
         self._trie_pack: Any = None
-        self._pack_rids: tuple[int, ...] = ()
 
     @property
     def scheme(self) -> SignatureScheme:
@@ -200,53 +198,19 @@ class SignaturePreparedIndex(PreparedIndex):
                 tracer.registry.counter("leaf_hits").inc(leaf_hits)
         return pairs
 
-    # ------------------------------------------------------------------
-    # Kernel-backed whole-relation signature scans
-    # ------------------------------------------------------------------
     @property
     def kernel(self) -> KernelBackend:
         """The kernel backend this index was packed with."""
         assert self._kernel is not None
         return self._kernel
 
-    @property
-    def signature_pack(self) -> SignaturePack:
-        """Every indexed record's signature, packed once at prepare time."""
-        assert self._signature_pack is not None
-        return self._signature_pack
-
-    def scan_candidates(self, record: SetRecord) -> list[int]:
-        """Ids of indexed records whose signature ``⊑`` the probe's.
-
-        One batched kernel call over the whole relation — the flat
-        (enumeration-free) form of the signature filter.  The result is a
-        superset of what trie/bucket enumeration admits for the same
-        probe (enumeration only prunes, never adds), so it serves as a
-        prefilter, a cross-check, and the kernel-speedup benchmark
-        surface.  Does not touch any ``JoinStats`` counters.
-        """
-        sig = self.scheme.signature(record.elements)
-        rows = self.kernel.filter_subset_batch(self.signature_pack, sig)
-        rids = self._pack_rids
-        return [rids[i] for i in rows]
-
-    def scan_superset_candidates(self, record: SetRecord) -> list[int]:
-        """Ids of indexed records whose signature covers the probe's.
-
-        The superset-join direction (``probe ⊑ indexed``), batched the
-        same way; the candidate prefilter for ``R ⋈⊆ S``.
-        """
-        sig = self.scheme.signature(record.elements)
-        rows = self.kernel.filter_superset_batch(self.signature_pack, sig)
-        rids = self._pack_rids
-        return [rids[i] for i in rows]
-
     def memory_objects(self, probe_relation: Relation | None = None) -> list[Any]:
         """The index structure plus every kernel pack built over it.
 
         Packs that share objects with the structure (the python trie pack
-        *is* the trie; trie packs share leaf payload lists) count once
-        under a shared ``deep_sizeof`` walk.
+        *is* the trie; trie packs share leaf payload lists; SHJ's bucket
+        packs share the signature ints) count once under a shared
+        ``deep_sizeof`` walk.
         """
         objs: list[Any] = []
         for attr in ("trie", "buckets", "bucket_packs"):
@@ -255,9 +219,8 @@ class SignaturePreparedIndex(PreparedIndex):
                 objs.append(value)
         if not objs:
             objs.append(self._algorithm)
-        for pack in (self._signature_pack, self._trie_pack):
-            if pack is not None:
-                objs.append(pack)
+        if self._trie_pack is not None:
+            objs.append(self._trie_pack)
         return objs
 
 
@@ -343,8 +306,7 @@ class SignatureJoinBase(SetContainmentJoin):
         bits = self._choose_bits(probe_hint, s)
         self.scheme = self.scheme_factory(bits)
         build_stats = JoinStats(algorithm=self.name)
-        # Hash S once: the index build and the relation-wide kernel pack
-        # share the signatures.  This loop's polls stay out of
+        # Hash S ahead of the index build.  This loop's polls stay out of
         # build_stats, so ``deadline_polls`` still counts the index
         # build's loop alone.
         signature = self.scheme.signature
@@ -361,11 +323,8 @@ class SignatureJoinBase(SetContainmentJoin):
         index.signature_bits = bits
         index.index_nodes = build_stats.index_nodes
         index.build_extras = dict(build_stats.extras)
-        # Pack once; cached on the index so every probe batch (and the
-        # scan prefilters) reuses the packs.
+        # Pack once; cached on the index so every probe batch reuses it.
         kernel = get_backend()
         index._kernel = kernel
-        index._signature_pack = kernel.pack_signatures(signatures, bits)
         index._trie_pack = self._pack_trie(kernel)
-        index._pack_rids = tuple(rec.rid for rec in s)
         return index

@@ -1,15 +1,16 @@
 """Swappable batch probe kernels behind a backend registry.
 
 The per-record Python probe loop is the system's hot path; this package
-factors its two inner operations — batch signature containment filters
-and sorted posting-list intersection — into a small ABI
-(:class:`~repro.kernels.base.KernelBackend`) with interchangeable
-implementations:
+factors its inner operations — SHJ's bucket signature filter, sorted
+posting-list intersection and PTSJ's batched Patricia subset walk —
+into a small ABI (:class:`~repro.kernels.base.KernelBackend`) with
+interchangeable implementations:
 
 * ``python`` — pure stdlib, always available, defines the reference
   bit-for-bit semantics;
-* ``numpy`` — packed ``uint64`` signature matrices with vectorized
-  bit-ops; optional import, auto-selected when importable.
+* ``numpy`` — the reference with a vectorized Patricia frontier walk
+  and large-list intersection, the two places it wins end to end;
+  optional import, auto-selected when importable.
 
 Selection order (mirrors the dux ``native_scanner``/``python_scanner``
 dual-backend pattern):
@@ -38,7 +39,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterator
 
 from repro.analysis.concurrency import tracked_lock
-from repro.kernels.base import KernelBackend, KernelUnavailableError, SignaturePack
+from repro.kernels.base import KernelBackend, KernelUnavailableError
 from repro.kernels.numpy_backend import NumpyKernel
 from repro.kernels.python_backend import PythonKernel
 
@@ -47,7 +48,6 @@ __all__ = [
     "ENV_VAR",
     "KernelBackend",
     "KernelUnavailableError",
-    "SignaturePack",
     "active_backend_name",
     "available_backends",
     "backend_source",

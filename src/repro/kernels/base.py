@@ -1,32 +1,13 @@
 """The kernel ABI: what a probe-kernel backend must provide.
 
-Every layer above the probe loop — prepared indexes, the executor stack,
-the planner, the join server's warm path — ultimately funnels into two
-tight inner operations: the signature containment filter
-(``sub & ~sup == 0`` per candidate) and sorted posting-list
-intersection.  A :class:`KernelBackend` packages *batch* forms of both
-so one call can filter every candidate of a bucket (or a whole
-relation) for a probe record instead of a per-candidate Python loop.
+The ABI is the five inner operations a join calls, and nothing else:
 
-The ABI is deliberately small:
-
-``pack_signatures(signatures, bits)``
-    Pre-process a relation's (or bucket's) signatures once, at index
-    build time, into whatever layout the backend filters fastest —
-    a plain tuple for the pure-Python backend, a packed ``uint64``
-    matrix for the numpy backend.  The resulting
-    :class:`SignaturePack` is cached on the prepared index and reused
-    by every probe.
-
-``filter_subset_batch(pack, probe)`` / ``filter_superset_batch(pack, probe)``
-    Return the *indices* (ascending) of packed signatures that pass the
-    containment filter against one probe signature.  Index order equals
-    packing order, so callers translate rows back to entries/records
-    without the backend knowing about either.
-
-``popcount_batch(pack)``
-    Per-row set-bit counts (signature weights), used for statistics and
-    cost modelling.
+``pack_signatures(signatures)`` / ``filter_subset_batch(pack, probe)``
+    SHJ's per-bucket signature filter (Algorithm 2).  A pack is the
+    tuple of a bucket's signatures, built once at index build time;
+    the filter returns the *indices* (ascending) of packed signatures
+    ``sig`` with ``sig & ~probe == 0``, so the caller translates rows
+    back to its bucket entries without the backend knowing about them.
 
 ``intersect_sorted(a, b)``
     Intersection of two strictly-increasing integer sequences — the
@@ -60,49 +41,18 @@ inputs with duplicates is backend-defined.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tries.patricia import PatriciaTrie
 
-__all__ = ["KernelBackend", "KernelUnavailableError", "SignaturePack"]
+__all__ = ["KernelBackend", "KernelUnavailableError"]
 
 
 class KernelUnavailableError(ReproError):
     """A requested kernel backend cannot be constructed on this host."""
-
-
-class SignaturePack:
-    """Backend-opaque packed form of a list of signatures.
-
-    Built once by :meth:`KernelBackend.pack_signatures` and handed back
-    to the same backend's batch filters.  Subclasses add the actual
-    storage; this base records what every consumer needs to reason
-    about a pack without unpacking it.
-
-    Attributes:
-        backend: Name of the backend that built (and can consume) it.
-        bits: Signature width the pack was built for.
-    """
-
-    __slots__ = ("backend", "bits", "_count")
-
-    def __init__(self, backend: str, bits: int, count: int) -> None:
-        self.backend = backend
-        self.bits = bits
-        self._count = count
-
-    def __len__(self) -> int:
-        """Number of packed signatures (rows)."""
-        return self._count
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<{type(self).__name__} backend={self.backend} "
-            f"n={self._count} bits={self.bits}>"
-        )
 
 
 class KernelBackend(ABC):
@@ -118,27 +68,19 @@ class KernelBackend(ABC):
     name: str = "abstract"
 
     # ------------------------------------------------------------------
-    # Signature batch kernels
+    # SHJ's bucket filter
     # ------------------------------------------------------------------
     @abstractmethod
-    def pack_signatures(self, signatures: Sequence[int], bits: int) -> SignaturePack:
-        """Pack ``signatures`` (each a ``bits``-wide int) for batch filtering."""
+    def pack_signatures(self, signatures: Iterable[int]) -> tuple[int, ...]:
+        """Pack ``signatures`` for :meth:`filter_subset_batch`."""
 
     @abstractmethod
-    def filter_subset_batch(self, pack: SignaturePack, probe: int) -> list[int]:
+    def filter_subset_batch(self, pack: tuple[int, ...], probe: int) -> list[int]:
         """Rows ``i`` (ascending) with ``pack[i] ⊑ probe``.
 
         The signature filter of every containment join: a packed
         signature survives iff every set bit appears in ``probe``.
         """
-
-    @abstractmethod
-    def filter_superset_batch(self, pack: SignaturePack, probe: int) -> list[int]:
-        """Rows ``i`` (ascending) with ``probe ⊑ pack[i]`` (superset join)."""
-
-    @abstractmethod
-    def popcount_batch(self, pack: SignaturePack) -> list[int]:
-        """Per-row number of set bits, in packing order."""
 
     # ------------------------------------------------------------------
     # Posting-list kernel

@@ -1,15 +1,18 @@
-"""The numpy kernel backend: packed ``uint64`` signature matrices.
+"""The numpy kernel backend: vectorized Patricia walk and large intersections.
 
-Signatures are packed MSB-first into ``ceil(bits / 64)`` 64-bit words
-per row, so an ``[n, words]`` ``uint64`` matrix holds a whole bucket
-(or relation) and one vectorized ``&``/``== 0`` pass answers the
-containment filter for every row at once — the batch form of
-``sub & ~sup == 0``.
+:class:`NumpyKernel` is the pure-Python reference
+(:class:`~repro.kernels.python_backend.PythonKernel`) with the two
+operations numpy wins end to end replaced:
 
-PTSJ's Patricia subset walk gets the same treatment: the trie is
-flattened once into node tables (:class:`NumpyTriePack`) and a block of
-probes walks it level by level, as one frontier of ``(probe, node)``
-pairs (:meth:`NumpyKernel.subset_leaves_batch`).
+* PTSJ's Patricia subset walk — the trie is flattened once into node
+  tables (:class:`NumpyTriePack`) and a block of probes walks it level
+  by level, as one frontier of ``(probe, node)`` pairs
+  (:meth:`NumpyKernel.subset_leaves_batch`);
+* large sorted-list intersections (PRETTI's refinement), via
+  ``numpy.intersect1d``.
+
+SHJ's per-bucket signature filter stays the inherited reference loop:
+buckets are a handful of rows, which no vectorized call repays.
 
 numpy is an *optional* dependency of this module alone (lint rule
 RPR010 keeps it from leaking anywhere else outside ``repro/kernels/``
@@ -17,7 +20,7 @@ and the data-generation layer).  When numpy is missing, constructing
 :class:`NumpyKernel` raises :class:`KernelUnavailableError` and the
 registry's auto-selection falls back to the pure-Python backend.
 
-Parity: all outputs are plain Python ints in the same order the
+Parity: all outputs are plain Python values in the same order the
 ``python`` backend produces, which the backend-parametrized
 differential and golden suites verify bit-for-bit.
 """
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.kernels.base import KernelBackend, KernelUnavailableError, SignaturePack
+from repro.kernels.base import KernelUnavailableError
 from repro.kernels.python_backend import PythonKernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -37,7 +40,7 @@ try:  # pragma: no cover - exercised implicitly by backend availability
 except ImportError:  # pragma: no cover - numpy-less hosts
     _np = None  # type: ignore[assignment]
 
-__all__ = ["NumpyKernel", "NumpySignaturePack", "NumpyTriePack"]
+__all__ = ["NumpyKernel", "NumpyTriePack"]
 
 #: Below this size the numpy call overhead loses to the pure merge, so
 #: ``intersect_sorted`` delegates tiny inputs to the python kernels.
@@ -55,35 +58,18 @@ _SMALL_INTERSECT = 64
 _SMALL_SUBSET_BATCH = 64
 
 
-def _to_matrix(signatures: Sequence[int], bits: int, np) -> "tuple":
-    """Pack ints into an ``[n, words]`` native-endian uint64 matrix."""
+def _to_matrix(signatures: Sequence[int], bits: int) -> "tuple":
+    """Pack ints MSB-first into an ``[n, words]`` native-endian uint64 matrix."""
     words = max(1, (bits + 63) // 64)
     if not signatures:
-        return np.empty((0, words), dtype=np.uint64), words
+        return _np.empty((0, words), dtype=_np.uint64), words
     buf = b"".join(sig.to_bytes(words * 8, "big") for sig in signatures)
     matrix = (
-        np.frombuffer(buf, dtype=">u8")
+        _np.frombuffer(buf, dtype=">u8")
         .reshape(len(signatures), words)
-        .astype(np.uint64)
+        .astype(_np.uint64)
     )
     return matrix, words
-
-
-class NumpySignaturePack(SignaturePack):
-    """Packed signatures as a ``[n, words]`` ``uint64`` matrix.
-
-    ``inverse`` holds ``~matrix``, precomputed once so the superset
-    filter never materializes an ``[n, words]`` temporary per probe —
-    both filters are memory-bound, so per-call full-size temporaries are
-    the dominant cost.
-    """
-
-    __slots__ = ("matrix", "inverse", "words")
-
-    def __init__(self, signatures: Sequence[int], bits: int, np) -> None:
-        super().__init__("numpy", bits, len(signatures))
-        self.matrix, self.words = _to_matrix(signatures, bits, np)
-        self.inverse = ~self.matrix
 
 
 class NumpyTriePack:
@@ -95,7 +81,7 @@ class NumpyTriePack:
     leaf order.  Per node:
 
     * ``prefixes[n]`` — the node's segment bits placed at full signature
-      width, ``[nodes, words]`` ``uint64`` like a signature pack row, so
+      width, ``[nodes, words]`` ``uint64``, MSB-first like the probes, so
       the segment test is ``prefixes[n] & ~probe == 0`` over all words;
     * ``left[n]`` / ``right[n]`` — child numbers, ``-1`` for a leaf;
     * ``branch_word[n]`` / ``branch_mask[n]`` — where the probe bit that
@@ -111,7 +97,8 @@ class NumpyTriePack:
     __slots__ = ("trie", "version", "bits", "words", "prefixes", "left", "right",
                  "branch_word", "branch_mask", "payloads")
 
-    def __init__(self, trie: "PatriciaTrie", np) -> None:
+    def __init__(self, trie: "PatriciaTrie") -> None:
+        np = _np
         self.trie = trie
         self.version = trie.version
         bits = self.bits = trie.bits
@@ -138,7 +125,7 @@ class NumpyTriePack:
                 stack.append((node.right, number, 1))
             else:
                 branch.append(0)
-        self.prefixes, self.words = _to_matrix(prefixes, bits, np)
+        self.prefixes, self.words = _to_matrix(prefixes, bits)
         self.left = np.array(left, dtype=np.intp)
         self.right = np.array(right, dtype=np.intp)
         # Int bit j lies in word ``words - 1 - j // 64`` (MSB-first rows).
@@ -152,8 +139,8 @@ class NumpyTriePack:
         return len(self.payloads)
 
 
-class NumpyKernel(KernelBackend):
-    """Vectorized batch kernels over packed uint64 signature matrices.
+class NumpyKernel(PythonKernel):
+    """The reference kernels with numpy's Patricia walk and intersection.
 
     Raises:
         KernelUnavailableError: If numpy is not importable on this host.
@@ -166,61 +153,19 @@ class NumpyKernel(KernelBackend):
             raise KernelUnavailableError(
                 "numpy is not installed; use the 'python' kernel backend"
             )
-        self._np = _np
-
-    def pack_signatures(self, signatures: Sequence[int], bits: int) -> NumpySignaturePack:
-        return NumpySignaturePack(signatures, bits, self._np)
-
-    def _probe_words(self, probe: int, words: int):
-        np = self._np
-        return np.frombuffer(
-            probe.to_bytes(words * 8, "big"), dtype=">u8"
-        ).astype(np.uint64)
-
-    def filter_subset_batch(self, pack: SignaturePack, probe: int) -> list[int]:
-        # A row is admitted when every word of ``row & ~probe`` is zero;
-        # ``any`` on the masked uint64 words tests that directly, without
-        # a full-size ``== 0`` boolean intermediate.
-        assert isinstance(pack, NumpySignaturePack)
-        if len(pack) == 0:
-            return []
-        np = self._np
-        mask = ~self._probe_words(probe, pack.words)
-        conflicts = (pack.matrix & mask).any(axis=1)
-        return np.flatnonzero(~conflicts).tolist()
-
-    def filter_superset_batch(self, pack: SignaturePack, probe: int) -> list[int]:
-        assert isinstance(pack, NumpySignaturePack)
-        if len(pack) == 0:
-            return []
-        np = self._np
-        probe_words = self._probe_words(probe, pack.words)
-        conflicts = (probe_words & pack.inverse).any(axis=1)
-        return np.flatnonzero(~conflicts).tolist()
-
-    def popcount_batch(self, pack: SignaturePack) -> list[int]:
-        assert isinstance(pack, NumpySignaturePack)
-        if len(pack) == 0:
-            return []
-        np = self._np
-        counts = np.bitwise_count(pack.matrix)
-        return counts.sum(axis=1, dtype=np.int64).tolist()
 
     def intersect_sorted(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        if not a or not b:
-            return []
         if min(len(a), len(b)) < _SMALL_INTERSECT:
-            return _PYTHON_FALLBACK.intersect_sorted(a, b)
-        np = self._np
-        out = np.intersect1d(
-            np.asarray(a, dtype=np.int64),
-            np.asarray(b, dtype=np.int64),
+            return super().intersect_sorted(a, b)
+        out = _np.intersect1d(
+            _np.asarray(a, dtype=_np.int64),
+            _np.asarray(b, dtype=_np.int64),
             assume_unique=True,
         )
         return out.tolist()
 
     def pack_trie(self, trie: "PatriciaTrie") -> NumpyTriePack:
-        return NumpyTriePack(trie, self._np)
+        return NumpyTriePack(trie)
 
     def subset_leaves_batch(
         self, pack: Any, probes: Sequence[int]
@@ -240,12 +185,12 @@ class NumpyKernel(KernelBackend):
         # probe that does not fit the width.
         if (len(probes) < _SMALL_SUBSET_BATCH or pack.version != pack.trie.version
                 or min(probes) < 0 or max(probes) >> bits):
-            return _PYTHON_FALLBACK.subset_leaves_batch(pack.trie, probes)
+            return super().subset_leaves_batch(pack.trie, probes)
         n = len(probes)
         if len(pack) == 0:
             return [0] * n, [], 0
-        np = self._np
-        missing = ~_to_matrix(probes, bits, np)[0]  # bits each probe lacks
+        np = _np
+        missing = ~_to_matrix(probes, bits)[0]  # bits each probe lacks
         prefixes, left, right = pack.prefixes, pack.left, pack.right
         branch_word, branch_mask = pack.branch_word, pack.branch_mask
         probe_ix = np.arange(n, dtype=np.intp)
@@ -276,7 +221,3 @@ class NumpyKernel(KernelBackend):
         leaves = [payloads[i] for i in hit_n[order].tolist()]
         counts = np.bincount(hit_p, minlength=n).tolist()
         return counts, leaves, visits
-
-
-#: Small-input intersect fallback; the pure backend is always constructible.
-_PYTHON_FALLBACK = PythonKernel()

@@ -13,9 +13,9 @@ available and serves as the auto-selection fallback.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.kernels.base import KernelBackend, SignaturePack
+from repro.kernels.base import KernelBackend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tries.patricia import PatriciaTrie
@@ -23,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "GALLOP_RATIO",
     "PythonKernel",
-    "PythonSignaturePack",
     "gallop_intersect",
     "merge_intersect",
 ]
@@ -71,36 +70,17 @@ def merge_intersect(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-class PythonSignaturePack(SignaturePack):
-    """Packed form for the pure backend: just the signature tuple."""
-
-    __slots__ = ("signatures",)
-
-    def __init__(self, signatures: Sequence[int], bits: int) -> None:
-        super().__init__("python", bits, len(signatures))
-        self.signatures = tuple(signatures)
-
-
 class PythonKernel(KernelBackend):
     """Pure-Python kernels; always available, defines the parity contract."""
 
     name = "python"
 
-    def pack_signatures(self, signatures: Sequence[int], bits: int) -> PythonSignaturePack:
-        return PythonSignaturePack(signatures, bits)
+    def pack_signatures(self, signatures: Iterable[int]) -> tuple[int, ...]:
+        return tuple(signatures)
 
-    def filter_subset_batch(self, pack: SignaturePack, probe: int) -> list[int]:
-        assert isinstance(pack, PythonSignaturePack)
+    def filter_subset_batch(self, pack: tuple[int, ...], probe: int) -> list[int]:
         mask = ~probe
-        return [i for i, sig in enumerate(pack.signatures) if sig & mask == 0]
-
-    def filter_superset_batch(self, pack: SignaturePack, probe: int) -> list[int]:
-        assert isinstance(pack, PythonSignaturePack)
-        return [i for i, sig in enumerate(pack.signatures) if probe & ~sig == 0]
-
-    def popcount_batch(self, pack: SignaturePack) -> list[int]:
-        assert isinstance(pack, PythonSignaturePack)
-        return [sig.bit_count() for sig in pack.signatures]
+        return [i for i, sig in enumerate(pack) if sig & mask == 0]
 
     def intersect_sorted(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         """Adaptive strategy: lists within a factor ``GALLOP_RATIO`` of

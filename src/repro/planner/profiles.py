@@ -1,7 +1,7 @@
 """Per-algorithm cost profiles: the planner's view of the registry.
 
-Each registry algorithm gets a :class:`CostProfile`: family metadata, its
-eligibility for automatic selection, and an estimator that maps
+Each registry algorithm gets a :class:`CostProfile`: its eligibility for
+automatic selection, and an estimator that maps
 ``(RelationStats, RelationStats, bits)`` to a :class:`~repro.planner.plan.
 CostEstimate` in *model units* (expected elementary operations, the
 currency of the paper's Sec. III-C analysis).
@@ -47,7 +47,6 @@ from repro.signatures.cost_model import (
 __all__ = [
     "CostProfile",
     "COST_PROFILES",
-    "KERNEL_PROBE_DISCOUNT",
     "cost_profile",
     "estimate_cost",
 ]
@@ -55,25 +54,6 @@ __all__ = [
 #: Exponent cap: beyond this the estimate is "infeasible", kept finite so
 #: comparisons and serialization stay well-behaved.
 _MAX_COST = 1e30
-
-#: Per-backend probe-cost multipliers by profile family.  The base
-#: estimators are calibrated against the pure-Python kernels; a vectorized
-#: backend discounts the probe side where its batch kernels actually land:
-#: the ``signature`` family's probe cost is dominated by the batched
-#: ``⊑`` filter (the kernel-speedup bench gates numpy at ≥2x there, hence
-#: 0.5), the ``inverted`` family only accelerates large posting-list
-#: intersections (small lists fall back to the merge kernel), and the
-#: ``oracle`` family does exact set comparisons no kernel touches.
-#: Unlisted backends/families default to 1.0 (no discount claimed).
-KERNEL_PROBE_DISCOUNT: dict[str, dict[str, float]] = {
-    "python": {},
-    "numpy": {
-        "signature": 0.5,
-        "inverted": 0.85,
-        "experimental": 0.9,
-    },
-}
-
 
 def _clamp(value: float) -> float:
     return min(value, _MAX_COST)
@@ -173,9 +153,6 @@ class CostProfile:
 
     Attributes:
         name: Registry name.
-        family: ``signature`` (filter-and-verify), ``inverted``
-            (intersection-based, verification-free), ``oracle``
-            (exhaustive) or ``experimental`` (Sec. VI future work).
         auto_eligible: Whether the planner may choose it automatically.
             Only the paper's two production algorithms are; everything
             else is still *estimated* (so it shows up, costed, among the
@@ -186,7 +163,6 @@ class CostProfile:
     """
 
     name: str
-    family: str
     auto_eligible: bool
     reject_reason: str
     uses_signature: bool
@@ -195,25 +171,6 @@ class CostProfile:
     def estimate(self, r: RelationStats, s: RelationStats, bits: int) -> CostEstimate:
         """Evaluate this algorithm's model at one configuration."""
         return self.estimator(r, s, bits)
-
-    def kernel_probe_factor(self, backend: str) -> float:
-        """This family's probe-cost multiplier under ``backend`` kernels."""
-        return KERNEL_PROBE_DISCOUNT.get(backend, {}).get(self.family, 1.0)
-
-    def estimate_for_backend(
-        self, r: RelationStats, s: RelationStats, bits: int, backend: str
-    ) -> CostEstimate:
-        """The model estimate with the backend's probe discount applied.
-
-        Build cost is backend-independent (index construction is plain
-        Python either way; signature packing is a small additive term the
-        model ignores); only probe work rides the batch kernels.
-        """
-        base = self.estimate(r, s, bits)
-        factor = self.kernel_probe_factor(backend)
-        if factor == 1.0:
-            return base
-        return CostEstimate(build=base.build, probe=_clamp(base.probe * factor))
 
     def estimate_sharded(
         self,
@@ -268,38 +225,38 @@ class CostProfile:
 #: One profile per registry algorithm (kept in sync by tests).
 COST_PROFILES: dict[str, CostProfile] = {
     "ptsj": CostProfile(
-        "ptsj", "signature", True, "", True, _ptsj,
+        "ptsj", True, "", True, _ptsj,
     ),
     "pretti+": CostProfile(
-        "pretti+", "inverted", True, "", False, _pretti_plus,
+        "pretti+", True, "", False, _pretti_plus,
     ),
     "pretti": CostProfile(
-        "pretti", "inverted", False,
+        "pretti", False,
         "superseded by pretti+ (Patricia trie halves its memory, Sec. IV)",
         False, _pretti,
     ),
     "shj": CostProfile(
-        "shj", "signature", False,
+        "shj", False,
         "exponential subset enumeration caps its signature length (Sec. II)",
         True, _shj,
     ),
     "tsj": CostProfile(
-        "tsj", "signature", False,
+        "tsj", False,
         "uncompressed trie: dominated by ptsj at every b (Sec. III-B)",
         True, _tsj,
     ),
     "nested-loop": CostProfile(
-        "nested-loop", "oracle", False,
+        "nested-loop", False,
         "exhaustive oracle, kept for verification only",
         False, _nested_loop,
     ),
     "mwtsj": CostProfile(
-        "mwtsj", "experimental", False,
+        "mwtsj", False,
         "experimental Sec. VI direction, not auto-selected",
         True, _mwtsj,
     ),
     "trie-trie": CostProfile(
-        "trie-trie", "experimental", False,
+        "trie-trie", False,
         "experimental Sec. VI direction, not auto-selected",
         True, _trie_trie,
     ),

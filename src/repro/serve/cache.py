@@ -61,9 +61,11 @@ def index_key(
     explicit pick of the same algorithm share an entry).
 
     The key also pins the kernel backend the index would be packed with
-    (the process default at key time): a resident index carries
-    backend-specific packed signature structures, so a cached build must
-    never be served to a request running under a different backend.
+    (the process default at key time): a resident PTSJ index carries the
+    backend's pack of its trie (numpy's flattened node tables), and
+    every index keeps using the backend it was built under, so a cached
+    build must never be served to a request running under a different
+    backend.
     """
     from repro.kernels import active_backend_name
 

@@ -2,5 +2,5 @@
 from repro.kernels import get_backend
 
 
-def pack(signatures, bits):
-    return get_backend().pack_signatures(signatures, bits)
+def pack(signatures):
+    return get_backend().pack_signatures(signatures)

@@ -184,6 +184,21 @@ class TestJoinStrategies:
                      "-o", str(other_out)]) == 0
         assert memory_out.read_text() == other_out.read_text()
 
+    def test_parallel_strategy_with_retries_matches_resilient_executor(self, files, tmp_path):
+        """``--strategy parallel --retries`` runs the registry's resilient
+        executor: the same pairs as ``--executor resilient``."""
+        r, s = files
+        strategy_out = tmp_path / "strategy.txt"
+        executor_out = tmp_path / "executor.txt"
+        assert main(["join", str(r), str(s), "--algorithm", "ptsj",
+                     "--strategy", "parallel", "--partitions", "2",
+                     "--retries", "1", "-o", str(strategy_out)]) == 0
+        assert main(["join", str(r), str(s), "--algorithm", "ptsj",
+                     "--executor", "resilient", "--workers", "2",
+                     "--retries", "1", "-o", str(executor_out)]) == 0
+        assert strategy_out.read_text() == executor_out.read_text()
+        assert strategy_out.read_text()
+
     def test_strategy_with_auto_algorithm(self, files, capsys):
         r, s = files
         capsys.readouterr()

@@ -2,17 +2,22 @@
 
 Covers the registry (registration, selection order, the ``REPRO_KERNEL``
 override, error paths), the ABI parity contract between the ``python``
-and ``numpy`` backends (signature filters, intersection and the batched
-Patricia subset walk), pickling-by-name, the kernel packs on prepared
-indexes (probing and memory accounting), and the posting-list-ordered
-``refine_many``.
+and ``numpy`` backends (SHJ's bucket filter, intersection and the
+batched Patricia subset walk), pickling-by-name, the kernel packs on
+prepared indexes (probing and memory accounting), and the
+posting-list-ordered ``refine_many``.
 """
 
 from __future__ import annotations
 
+import json
 import operator
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -42,7 +47,6 @@ from repro.kernels.python_backend import (
     merge_intersect,
 )
 from repro.relations.relation import Relation, SetRecord
-from repro.signatures import bitmap
 from repro.signatures.hashing import ModuloScheme
 from repro.tries.patricia import PatriciaTrie
 from tests.conftest import random_relation
@@ -161,43 +165,34 @@ def test_pack_and_filter_parity(bits):
     sigs = random_signatures(40, bits, seed=bits)
     rng = random.Random(1000 + bits)
     probes = [rng.getrandbits(bits) for _ in range(12)] + [0, (1 << bits) - 1]
-    reference = get_backend("python")
-    ref_pack = reference.pack_signatures(sigs, bits)
-    assert len(ref_pack) == len(sigs)
     for name in BACKENDS:
         backend = get_backend(name)
-        pack = backend.pack_signatures(sigs, bits)
-        assert len(pack) == len(sigs)
-        assert pack.bits == bits
+        pack = backend.pack_signatures(sigs)
+        assert pack == tuple(sigs)
         for probe in probes:
             assert backend.filter_subset_batch(pack, probe) == \
-                reference.filter_subset_batch(ref_pack, probe)
-            assert backend.filter_superset_batch(pack, probe) == \
-                reference.filter_superset_batch(ref_pack, probe)
-        assert backend.popcount_batch(pack) == reference.popcount_batch(ref_pack)
+                [i for i, sig in enumerate(sigs) if sig & ~probe == 0]
 
 
 def test_empty_pack():
     for name in BACKENDS:
         backend = get_backend(name)
-        pack = backend.pack_signatures([], 64)
+        pack = backend.pack_signatures([])
         assert len(pack) == 0
         assert backend.filter_subset_batch(pack, 0) == []
-        assert backend.filter_superset_batch(pack, (1 << 64) - 1) == []
-        assert backend.popcount_batch(pack) == []
+        assert backend.filter_subset_batch(pack, (1 << 64) - 1) == []
 
 
 def test_filter_semantics_are_positional():
     """Filters return *row indices* into the pack, in ascending order."""
-    bits = 8
     sigs = [0b0001, 0b0011, 0b0111, 0b1000, 0b0011]
     for name in BACKENDS:
         backend = get_backend(name)
-        pack = backend.pack_signatures(sigs, bits)
+        pack = backend.pack_signatures(sigs)
         # Rows whose signature is covered by probe 0b0011.
         assert backend.filter_subset_batch(pack, 0b0011) == [0, 1, 4]
-        # Rows whose signature covers probe 0b0011.
-        assert backend.filter_superset_batch(pack, 0b0011) == [1, 2, 4]
+        # Rows whose signature is covered by probe 0b1000.
+        assert backend.filter_subset_batch(pack, 0b1000) == [3]
 
 
 @pytest.mark.parametrize("sizes", [(0, 0), (0, 5), (5, 0), (3, 200), (200, 3),
@@ -439,8 +434,8 @@ def _graph_bytes(objs) -> tuple[int, set[int]]:
     return sum(deep_sizeof(obj, seen) for obj in objs), seen
 
 
-#: The numpy arrays a numpy signature or trie pack holds.
-_PACK_ARRAYS = ("matrix", "inverse", "prefixes", "left", "right", "branch_word", "branch_mask")
+#: The numpy arrays a numpy trie pack holds.
+_PACK_ARRAYS = ("prefixes", "left", "right", "branch_word", "branch_mask")
 
 
 @pytest.mark.parametrize("algorithm,structure", [("ptsj", "trie"), ("shj", "buckets")])
@@ -452,32 +447,51 @@ def test_memory_objects_count_kernel_packs(backend, algorithm, structure):
     bucket_packs = getattr(index._algorithm, "bucket_packs", None)  # SHJ only
     total, _ = _graph_bytes(index.memory_objects())
     structure_bytes, seen = _graph_bytes([getattr(index._algorithm, structure)])
-    packs = [index._signature_pack, index._trie_pack, bucket_packs]
+    packs = [index._trie_pack, bucket_packs]
     pack_bytes = sum(deep_sizeof(pack, seen) for pack in packs if pack is not None)
-    assert pack_bytes > 0
     assert total == structure_bytes + pack_bytes
-    # Under numpy every pack array's buffer is among the counted bytes.
-    flat = [index._signature_pack, index._trie_pack, *(bucket_packs or {}).values()]
-    arrays = [getattr(pack, name) for pack in flat for name in _PACK_ARRAYS if hasattr(pack, name)]
-    assert bool(arrays) == (backend == "numpy")
+    # The python trie pack *is* the trie and adds nothing; numpy's node
+    # tables and SHJ's bucket packs do.
+    assert (pack_bytes > 0) == (algorithm == "shj" or backend == "numpy")
+    # Under numpy every trie-pack array's buffer is among the counted bytes.
+    arrays = [getattr(index._trie_pack, name) for name in _PACK_ARRAYS
+              if hasattr(index._trie_pack, name)]
+    assert bool(arrays) == (algorithm == "ptsj" and backend == "numpy")
     assert pack_bytes >= sum(array.nbytes for array in arrays)
 
 
-# ----------------------------------------------------------------------
-# bitmap module wrappers
-# ----------------------------------------------------------------------
-def test_bitmap_batch_wrappers_stay_backend_consistent():
-    bits = 96
-    sigs = random_signatures(20, bits, seed=5)
-    for name in BACKENDS:
-        pack = bitmap.pack_signatures(sigs, bits, backend=name)
-        assert pack.backend == name
-        probe = sigs[0]
-        expected_sub = [i for i, s in enumerate(sigs) if s & ~probe == 0]
-        expected_sup = [i for i, s in enumerate(sigs) if probe & ~s == 0]
-        assert bitmap.filter_subset_batch(pack, probe) == expected_sub
-        assert bitmap.filter_superset_batch(pack, probe) == expected_sup
-        assert bitmap.popcount_batch(pack) == [s.bit_count() for s in sigs]
+#: Prints PRETTI's and PRETTI+'s Fig. 6a bytes per tuple as JSON.
+_INVERTED_MEMORY_SCRIPT = """
+import json
+from repro.bench.memory import memory_per_tuple
+from tests.conftest import random_relation
+r = random_relation(80, 8, 64, seed=742)
+s = random_relation(80, 6, 64, seed=743)
+print(json.dumps({name: memory_per_tuple(name, r, s) for name in ("pretti", "pretti+")}))
+"""
+
+
+def test_inverted_index_memory_is_backend_independent():
+    """PRETTI/PRETTI+ build no backend-specific structure, so their
+    Fig. 6a bytes per tuple must not depend on the backend: the kernel an
+    ``InvertedIndex`` captures (and any module it reaches) is not index
+    memory.  Each backend is measured in a fresh interpreter, because
+    CPython sizes a class's instance ``__dict__`` by how many were
+    materialized before it, so only equal histories give equal bytes."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root)])
+
+    def measure(backend: str) -> dict[str, float]:
+        env = {**os.environ, kernels.ENV_VAR: backend, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", _INVERTED_MEMORY_SCRIPT], env=env,
+                              cwd=root, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    per_backend = {name: measure(name) for name in BACKENDS}
+    reference = per_backend["python"]
+    assert reference["pretti+"] < reference["pretti"]
+    assert all(value == reference for value in per_backend.values()), per_backend
 
 
 # ----------------------------------------------------------------------
@@ -498,15 +512,23 @@ def small_relation(start_id: int = 0) -> Relation:
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_prepared_index_scan_candidates(backend):
+def test_prepared_index_trie_walk_candidates(backend):
+    """The kernel walk over a prepared PTSJ index's trie pack admits
+    exactly the records whose signature ``⊑`` the probe's: a superset of
+    the true matches, equal to the scalar signature filter.  The probes
+    repeat past the numpy frontier's crossover, so both walks run."""
     s = small_relation()
-    r = small_relation(start_id=100)
+    r = list(small_relation(start_id=100)) * (_SMALL_SUBSET_BATCH // 6 + 1)
     with use_backend(backend):
         index = make_algorithm("ptsj").prepare(s)
     assert index.kernel.name == backend
-    assert len(index.signature_pack) == len(s)
-    for record in r:
-        candidates = set(index.scan_candidates(record))
+    probe_sigs = [index.scheme.signature(record.elements) for record in r]
+    counts, leaves, _ = index.kernel.subset_leaves_batch(index._trie_pack, probe_sigs)
+    pos = 0
+    for record, probe_sig, count in zip(r, probe_sigs, counts):
+        candidates = {rid for groups in leaves[pos:pos + count]
+                      for group in groups for rid in group.ids}
+        pos += count
         # Kernel-admitted candidates are a superset of the true matches
         # (signatures never produce false negatives) ...
         true_matches = {
@@ -514,7 +536,6 @@ def test_prepared_index_scan_candidates(backend):
         }
         assert true_matches <= candidates
         # ... and equal what the scalar signature filter admits.
-        probe_sig = index.scheme.signature(record.elements)
         scalar = {
             rec.rid
             for rec in s
@@ -523,35 +544,23 @@ def test_prepared_index_scan_candidates(backend):
         assert candidates == scalar
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_prepared_index_scan_superset_candidates(backend):
-    s = small_relation()
-    r = small_relation(start_id=100)
-    with use_backend(backend):
-        index = make_algorithm("ptsj").prepare(s)
-    for record in r:
-        candidates = set(index.scan_superset_candidates(record))
-        true_matches = {
-            rec.rid for rec in s if rec.elements >= record.elements
-        }
-        assert true_matches <= candidates
-
-
 def test_prepared_index_keeps_build_backend():
     """An index packed under one backend keeps using it even after the
     process default changes (internal consistency for resident indexes)."""
     s = small_relation()
+    r = small_relation(start_id=100)
     with use_backend("python"):
         index = make_algorithm("ptsj").prepare(s)
+        expected = index.probe_many(r).pairs
     assert index.kernel.name == "python"
-    assert index.signature_pack.backend == "python"
-    other = BACKENDS[0]
-    with use_backend(other):
-        record = SetRecord(999, frozenset({1, 2}))
-        assert index.scan_candidates(record) == sorted(
-            index.scan_candidates(record)
-        )
-        assert index.kernel.name == "python"
+    assert index._trie_pack is index.trie  # the python pack is the trie
+    for other in BACKENDS:
+        with use_backend(other):
+            result = index.probe_many(r)
+            assert index.kernel.name == "python"
+            assert index._trie_pack is index.trie
+        assert result.pairs == expected
+        assert result.stats.extras["kernel_backend"] == "python"
 
 
 # ----------------------------------------------------------------------
