@@ -34,7 +34,8 @@ def deep_sizeof(obj: Any, _seen: set[int] | None = None) -> int:
     """Total bytes of ``obj`` and everything reachable from it.
 
     Each distinct object is counted once (cycles and sharing are safe).
-    Containers (dict/list/tuple/set/frozenset), instance ``__dict__`` and
+    Containers (dict/list/tuple/set/frozenset), instance ``__dict__`` (as
+    a fresh copy, so the size depends only on its contents) and
     ``__slots__`` attributes are followed; atomic values are measured with
     :func:`sys.getsizeof`.  Modules and kernel backends are shared
     process state, not part of any index: they count zero and are not
@@ -42,6 +43,12 @@ def deep_sizeof(obj: Any, _seen: set[int] | None = None) -> int:
     (e.g. PRETTI tries over high-cardinality sets) are safe.
     """
     seen = _seen if _seen is not None else set()
+    # Instance dicts are sized through fresh copies: CPython sizes a
+    # materialized instance dict by how many of its class's came before
+    # it, so the original's size depends on process history, not on the
+    # contents.  The copies stay referenced for the whole walk, so a
+    # freed copy's id can never alias a later object in ``seen``.
+    copies: list[dict] = []
     total = 0
     stack: list[Any] = [obj]
     while stack:
@@ -63,7 +70,9 @@ def deep_sizeof(obj: Any, _seen: set[int] | None = None) -> int:
         else:
             instance_dict = getattr(current, "__dict__", None)
             if instance_dict is not None:
-                stack.append(instance_dict)
+                seen.add(id(instance_dict))
+                copies.append(dict(instance_dict))
+                stack.append(copies[-1])
             for klass in type(current).__mro__:
                 for slot in getattr(klass, "__slots__", ()):
                     if hasattr(current, slot):

@@ -32,6 +32,7 @@ from repro.kernels import KernelBackend, get_backend
 from repro.obs.tracer import current_tracer
 from repro.obs.clock import perf_counter
 from repro.relations.relation import Relation, SetRecord
+from repro.relations.stats import compute_stats
 from repro.signatures.hashing import ModuloScheme, SignatureScheme
 from repro.signatures.length import SignatureLengthStrategy
 
@@ -65,10 +66,12 @@ class SignaturePreparedIndex(PreparedIndex):
         super().__init__(algorithm.name, relation)
         self._algorithm = algorithm
         # Filled in by ``_prepare`` right after the build: the kernel
-        # backend, and the batch subset walk's trie pack (PTSJ only),
-        # shared by every probe batch.
+        # backend, the batch subset walk's trie pack (PTSJ only), shared
+        # by every probe batch, and the trie version at which every
+        # indexed set was proven to hash exactly (``None``: not exact).
         self._kernel: KernelBackend | None = None
         self._trie_pack: Any = None
+        self._exact_version: int | None = None
 
     @property
     def scheme(self) -> SignatureScheme:
@@ -116,11 +119,27 @@ class SignaturePreparedIndex(PreparedIndex):
         (``N·|R|`` exact set comparisons); under an active tracer the two
         aggregates are reported as ``signature_filter`` / ``verify`` child
         spans of ``probe``.
+
+        In the exact regime the ``⊆`` check is skipped: the block is
+        answered by the kernel trie walk (PTSJ), the trie is unchanged
+        since ``_prepare`` proved every indexed set hashes exactly, and
+        every element of ``r`` is below the scheme's exact bound too
+        (``scheme.exact_below``).  Both signatures are then exact bitmaps,
+        so the walk's ``sig ⊑ probe`` test *is* the containment test;
+        each candidate still counts as one verification, and pairs, pair
+        order and counters equal :meth:`probe`'s, which always verifies.
         """
         perf = perf_counter
-        signature = self.scheme.signature
+        scheme = self.scheme
+        signature = scheme.signature
         enumerate_groups = self._algorithm._enumerate_groups
         trie_pack = self._trie_pack
+        # _exact_version is set only for an index with a trie pack.
+        exact = (
+            self._exact_version is not None
+            and self._exact_version == self.trie.version
+            and scheme.exact_below(r.max_element())
+        )
         walk = self.kernel.subset_leaves_batch
         gov = governor("probe", stats)
         block = DEFAULT_POLL_INTERVAL
@@ -163,7 +182,7 @@ class SignaturePreparedIndex(PreparedIndex):
                 for groups in leaves[pos:pos + count]:
                     for group in groups:
                         candidates += 1
-                        if group.elements <= r_set:
+                        if exact or group.elements <= r_set:
                             for s_id in group.ids:
                                 append((r_id, s_id))
                 pos += count
@@ -255,21 +274,15 @@ class SignatureJoinBase(SetContainmentJoin):
         """Resolve the signature length for this index.
 
         Explicit ``bits`` wins; otherwise apply the Sec. III-D strategy to
-        the average cardinality and active-domain size of the relations at
-        hand — both sides when a probe hint is available (the paper's
-        global-statistics rule), the indexed side alone otherwise.
+        the (memoized) statistics of the relations at hand — both sides
+        when a probe hint is available (the paper's global-statistics
+        rule), the indexed side alone otherwise.
         """
         if self.requested_bits is not None:
             return self.requested_bits
-        cards = [rec.cardinality for rec in s]
-        max_elem = s.max_element()
-        if r is not None:
-            cards += [rec.cardinality for rec in r]
-            max_elem = max(max_elem, r.max_element())
-        total = sum(cards)
-        avg_c = max(total / len(cards), 1.0) if cards else 1.0
-        domain = max_elem + 1
-        return self.length_strategy.choose(avg_c, max(domain, 1))
+        return self.length_strategy.choose_for(
+            compute_stats(s), None if r is None else compute_stats(r)
+        )
 
     # ------------------------------------------------------------------
     # Template hooks
@@ -327,4 +340,6 @@ class SignatureJoinBase(SetContainmentJoin):
         kernel = get_backend()
         index._kernel = kernel
         index._trie_pack = self._pack_trie(kernel)
+        if index._trie_pack is not None and self.scheme.exact_below(s.max_element()):
+            index._exact_version = index.trie.version
         return index

@@ -25,6 +25,7 @@ from repro.core.base import CandidateGroup
 from repro.core.framework import insert_into_groups
 from repro.errors import AlgorithmError
 from repro.relations.relation import Relation
+from repro.relations.stats import compute_stats
 from repro.signatures.hashing import ModuloScheme, SignatureScheme
 from repro.signatures.length import SignatureLengthStrategy
 from repro.tries.patricia import PatriciaTrie
@@ -60,11 +61,8 @@ class PatriciaSetIndex:
         if bits is None:
             if len(relation) == 0:
                 raise AlgorithmError("cannot derive a signature length from an empty relation")
-            cards = [rec.cardinality for rec in relation]
-            avg_c = max(sum(cards) / len(cards), 1.0)
-            domain = max(relation.max_element() + 1, 1)
             strategy = length_strategy or SignatureLengthStrategy()
-            bits = strategy.choose(avg_c, domain)
+            bits = strategy.choose_for(compute_stats(relation))
         self.scheme = scheme_factory(bits)
         self.trie = PatriciaTrie(bits)
         self.relation = relation

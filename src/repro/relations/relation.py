@@ -70,7 +70,7 @@ class Relation:
         RelationError: If two records share an id.
     """
 
-    __slots__ = ("_records", "_by_id", "name", "_stats", "_fingerprint")
+    __slots__ = ("_records", "_by_id", "name", "_stats", "_fingerprint", "_max_element")
 
     def __init__(self, records: Iterable[SetRecord], name: str = "") -> None:
         self._records: tuple[SetRecord, ...] = tuple(records)
@@ -81,6 +81,8 @@ class Relation:
         self._stats = None
         # Memoized content hash; see fingerprint().
         self._fingerprint: str | None = None
+        # Memoized max_element(), seeded from _stats when that exists.
+        self._max_element: int | None = None
         for rec in self._records:
             if rec.rid in self._by_id:
                 raise RelationError(f"duplicate record id {rec.rid} in relation {name!r}")
@@ -172,14 +174,24 @@ class Relation:
         return frozenset(out)
 
     def max_element(self) -> int:
-        """Largest element appearing in the relation, or ``-1`` if all empty."""
-        best = -1
-        for rec in self._records:
-            if rec.elements:
-                m = max(rec.elements)
-                if m > best:
-                    best = m
-        return best
+        """Largest element appearing in the relation, or ``-1`` if all empty.
+
+        Memoized like :meth:`fingerprint`; when statistics were already
+        computed (``compute_stats``), their ``max_element`` is reused and
+        the records are not scanned at all.
+        """
+        if self._max_element is None:
+            if self._stats is not None:
+                self._max_element = self._stats.max_element
+            else:
+                best = -1
+                for rec in self._records:
+                    if rec.elements:
+                        m = max(rec.elements)
+                        if m > best:
+                            best = m
+                self._max_element = best
+        return self._max_element
 
     def fingerprint(self) -> str:
         """A stable content hash of this relation — the index-cache key.

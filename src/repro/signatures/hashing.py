@@ -33,6 +33,10 @@ _SCRAMBLE_MULT_1 = 0xBF58476D1CE4E5B9
 _SCRAMBLE_MULT_2 = 0x94D049BB133111EB
 _SCRAMBLE_MASK = (1 << 64) - 1
 
+#: Byte 0/1 to ASCII ``0``/``1``: turns a one-byte-per-bit row into the
+#: base-2 digits of its signature, MSB first.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
 
 class SignatureScheme:
     """Base class for signature hash functions.
@@ -58,6 +62,15 @@ class SignatureScheme:
     def bit_of(self, element: int) -> int:
         """Logical bit position (0-based, MSB-first) for ``element``."""
         raise NotImplementedError
+
+    def exact_below(self, max_element: int) -> bool:
+        """True iff :meth:`bit_of` is injective on ``[0, max_element]``.
+
+        When it holds, ``h(s) ⊑ h(r)`` implies ``s ⊆ r`` for any two sets
+        drawn from that range, so the signature test *is* the exact
+        containment test.  The base class promises nothing.
+        """
+        return False
 
     def signature(self, elements: Iterable[int]) -> int:
         """Fold a set of elements into one signature int.
@@ -89,15 +102,23 @@ class ModuloScheme(SignatureScheme):
     def bit_of(self, element: int) -> int:
         return element % self.bits
 
+    def exact_below(self, max_element: int) -> bool:
+        """``x mod b`` is injective on ``[0, b)``: at ``b > max_element``
+        the signature is an exact bitmap of the set."""
+        return max_element < self.bits
+
     def signature(self, elements: Iterable[int]) -> int:
-        """The shared fold with ``bit_of`` inlined (the hot hash of every
-        signature join); returns exactly the base class's ints."""
+        """The shared fold, as one byte per bit (the hot hash of every
+        signature join); returns exactly the base class's ints.
+
+        Setting bytes and parsing the row once as base-2 digits allocates
+        no big int per element, unlike ``sig |= 1 << k``.
+        """
         bits = self.bits
-        top = bits - 1
-        sig = 0
+        row = bytearray(bits)
         for x in elements:
-            sig |= 1 << (top - x % bits)
-        return sig
+            row[x % bits] = 1
+        return int(row.translate(_DIGITS), 2)
 
 
 class ScrambleScheme(SignatureScheme):

@@ -21,8 +21,12 @@ end of the sweet spot, clamped below by ``c``.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from repro.errors import SignatureError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.relations.stats import RelationStats
 
 __all__ = ["SignatureLengthStrategy", "choose_signature_length"]
 
@@ -86,6 +90,25 @@ class SignatureLengthStrategy:
         # the 256-word cap bounds memory absolutely, and b = d is an exact
         # bitmap (no false positives), so exceeding d is never useful.
         return min(max(target, lower), cap, domain_cardinality)
+
+    def choose_for(self, s: "RelationStats", r: "RelationStats | None" = None) -> int:
+        """Pick ``b`` for indexing ``s`` (and probing ``r``) from their statistics.
+
+        The one place the rule meets a dataset: ``c`` is the average
+        cardinality over both relations when probe statistics exist (the
+        paper's global-statistics rule), over ``s`` alone otherwise, at
+        least 1; ``d`` is the hash domain ``max_element + 1``, at least 1.
+        Empty relations therefore still get a length.
+        """
+        total = s.total_elements
+        count = s.size
+        max_element = s.max_element
+        if r is not None:
+            total += r.total_elements
+            count += r.size
+            max_element = max(max_element, r.max_element)
+        avg_c = max(total / count, 1.0) if count else 1.0
+        return self.choose(avg_c, max(max_element + 1, 1))
 
     def __repr__(self) -> str:
         return (

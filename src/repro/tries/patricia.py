@@ -121,8 +121,10 @@ class PatriciaTrie:
         self.root: PatriciaNode | None = None
         self.leaf_count = 0
         self.visits_last_query = 0
-        # Bumped whenever a leaf is added or removed, so a flattened copy
-        # (a kernel trie pack) can tell that it no longer matches.
+        # Bumped by every insert (also one that only returns an existing
+        # leaf, whose payload the caller is about to change) and every
+        # removal, so a flattened copy (a kernel trie pack) or a fact
+        # proven about the stored sets can tell that it may be stale.
         self.version = 0
 
     # ------------------------------------------------------------------
@@ -133,12 +135,14 @@ class PatriciaTrie:
 
         Repeated inserts of the same signature return the *same* list, which
         is how PTSJ groups tuples sharing a signature (and, one level deeper,
-        merges identical sets — Sec. III-E1).
+        merges identical sets — Sec. III-E1).  Every call bumps
+        :attr:`version`, a new leaf or not.
 
         Raises:
             repro.errors.SignatureError: If the signature does not fit.
         """
         validate_signature(signature, self.bits)
+        self.version += 1
         if self.root is None:
             self.root = self._new_leaf(0, signature)
             return self.root.items  # type: ignore[return-value]
@@ -168,7 +172,6 @@ class PatriciaTrie:
         leaf.signature = signature
         leaf.items = []
         self.leaf_count += 1
-        self.version += 1
         return leaf
 
     def _split(

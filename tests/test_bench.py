@@ -88,6 +88,15 @@ class TestIndexMemory:
         assert per_tuple["pretti"] == max(per_tuple.values())
         assert per_tuple["pretti+"] < per_tuple["pretti"]
 
+    def test_memory_per_tuple_independent_of_process_history(self):
+        """Instance dicts are sized by content, not by how many of their
+        class were materialized before: successive calls agree."""
+        r = random_relation(80, 8, 100, seed=502)
+        s = random_relation(80, 4, 100, seed=503)
+        for name in ("pretti", "ptsj"):
+            readings = [memory_per_tuple(name, r, s) for _ in range(4)]
+            assert len(set(readings)) == 1, readings
+
     def test_memory_per_tuple_empty(self):
         from repro.relations.relation import Relation
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SignatureError
 from repro.signatures.bitmap import is_subset_sig, sig_to_bits
@@ -61,6 +63,48 @@ class TestModuloScheme:
         assert ModuloScheme(8) != ModuloScheme(9)
         assert ModuloScheme(8) != ScrambleScheme(8)
         assert hash(ModuloScheme(8)) == hash(ModuloScheme(8))
+
+
+#: Widths around every word and byte boundary, the twitter surrogate's
+#: b = d = 120, the highcard b = d = 512, and the 256-word cap.
+FOLD_WIDTHS = [1, 7, 8, 63, 64, 120, 512, 8192]
+
+
+class TestModuloFoldProperty:
+    """The byte-row fold must return the base class's ``bit_of`` fold's
+    ints, for elements on both sides of ``b`` and the empty set."""
+
+    @pytest.mark.parametrize("bits", FOLD_WIDTHS)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(elements=st.frozensets(st.integers(min_value=0, max_value=3 * 8192 + 17), max_size=40))
+    def test_equals_the_bit_of_fold(self, bits, elements):
+        scheme = ModuloScheme(bits)
+        assert scheme.signature(elements) == SignatureScheme.signature(scheme, elements)
+
+    @pytest.mark.parametrize("bits", FOLD_WIDTHS)
+    def test_edges(self, bits):
+        scheme = ModuloScheme(bits)
+        for elements in (frozenset(), {bits - 1}, {bits}, {0, bits, 2 * bits}, range(2 * bits + 3)):
+            assert scheme.signature(elements) == SignatureScheme.signature(scheme, elements)
+        assert scheme.signature(frozenset()) == 0
+        assert scheme.signature(range(bits)) == (1 << bits) - 1
+
+
+class TestExactBelow:
+    def test_modulo_is_exact_below_its_width(self):
+        scheme = ModuloScheme(8)
+        assert scheme.exact_below(-1)  # every set empty
+        assert scheme.exact_below(7)
+        assert not scheme.exact_below(8)
+
+    def test_other_schemes_never_claim_exactness(self):
+        assert not ScrambleScheme(1 << 20).exact_below(0)
+
+        class Identity(SignatureScheme):
+            def bit_of(self, element: int) -> int:
+                return element
+
+        assert not Identity(64).exact_below(0)
 
 
 class TestScrambleScheme:

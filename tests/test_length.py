@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import SignatureError
+from repro.relations.relation import Relation
+from repro.relations.stats import compute_stats
 from repro.signatures.length import SignatureLengthStrategy, choose_signature_length
+from tests.conftest import random_relation
 
 
 class TestChooseSignatureLength:
@@ -70,3 +75,46 @@ class TestStrategyObject:
 
     def test_repr(self):
         assert "Int=32" in repr(SignatureLengthStrategy())
+
+
+def _hand_rule(strategy, s, r=None):
+    """The formula each caller once copied by hand, over raw records."""
+    cards = [rec.cardinality for rec in s]
+    max_elem = s.max_element()
+    if r is not None:
+        cards += [rec.cardinality for rec in r]
+        max_elem = max(max_elem, r.max_element())
+    avg_c = max(sum(cards) / len(cards), 1.0) if cards else 1.0
+    return strategy.choose(avg_c, max(max_elem + 1, 1))
+
+
+class TestChooseFor:
+    """``choose_for`` is the one Sec. III-D rule over relation statistics,
+    shared by the signature joins, trie-trie, the set index and the
+    planner; it must give the ints the hand-copied formula gave."""
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.125])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_the_hand_formula_on_random_relations(self, ratio, seed):
+        rng = random.Random(seed)
+        strategy = SignatureLengthStrategy(ratio=ratio)
+
+        def relation(base: int) -> Relation:
+            if rng.random() < 0.15:
+                return Relation([])
+            # min_cardinality 0: empty sets are mixed in.
+            return random_relation(rng.randint(1, 40), rng.randint(0, 300),
+                                   rng.choice([1, 16, 500, 40_000]), seed=base + seed)
+
+        s = relation(1000)
+        r = relation(2000)
+        assert strategy.choose_for(compute_stats(s)) == _hand_rule(strategy, s)
+        assert strategy.choose_for(compute_stats(s), compute_stats(r)) == _hand_rule(strategy, s, r)
+
+    def test_empty_relation_and_empty_sets(self):
+        strategy = SignatureLengthStrategy()
+        empty = compute_stats(Relation([]))
+        all_empty = compute_stats(Relation.from_sets([set(), set()]))
+        assert strategy.choose_for(empty) == 1
+        assert strategy.choose_for(all_empty, empty) == 1
+        assert strategy.choose_for(empty, compute_stats(Relation.from_sets([{3, 700}]))) == 32

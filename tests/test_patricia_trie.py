@@ -51,6 +51,20 @@ class TestConstruction:
         assert trie.superset_leaves(0) == []
         assert trie.equal_leaf(0) is None
 
+    def test_version_bumps_on_every_insert_and_removal(self):
+        """Also an insert that lands on an existing leaf: its caller is
+        about to change that leaf's payload."""
+        trie = PatriciaTrie(8)
+        versions = [trie.version]
+        for sig in (0b1010, 0b0110, 0b1010):
+            trie.insert(sig)
+            versions.append(trie.version)
+        trie.remove(0b0110)
+        versions.append(trie.version)
+        assert trie.remove(0b0110) is None  # nothing removed, no bump
+        versions.append(trie.version)
+        assert versions == [0, 1, 2, 3, 4, 4]
+
     def test_single_insert(self):
         trie = PatriciaTrie(8)
         items = trie.insert(0b10100000)

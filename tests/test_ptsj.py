@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.nested_loop import NestedLoopJoin
+from repro.core.base import JoinStats, PreparedIndex
 from repro.core.ptsj import PTSJ
+from repro.extensions.set_index import PatriciaSetIndex
+from repro.kernels import available_backends, use_backend
 from repro.relations.relation import Relation
+from repro.signatures.hashing import ScrambleScheme
 from tests.conftest import TABLE1_EXPECTED, oracle_pairs, random_relation
 
 
@@ -112,3 +119,134 @@ class TestStatsAndExtension:
         long = PTSJ(bits=512).join(r, s).stats
         assert long.candidates < short.candidates
         assert long.pairs == short.pairs
+
+
+# ----------------------------------------------------------------------
+# Exact-signature regime: verification skipped only where provably sound
+# ----------------------------------------------------------------------
+BACKENDS = available_backends()
+#: One probe record takes the node walk; 64+ take numpy's frontier walk.
+BATCH_SIZES = [1, 80]
+
+
+def streamed(index, r: Relation) -> tuple[list[tuple[int, int]], JoinStats]:
+    """The parity oracle: one streaming ``probe()`` per record, which
+    always verifies every candidate."""
+    stats = JoinStats(algorithm="ptsj")
+    return PreparedIndex._probe_all(index, r, stats), stats
+
+
+def counted_groups(index) -> list[int]:
+    """Swap every indexed group's set for one that counts ``<=`` calls;
+    returns the one-cell counter."""
+    calls = [0]
+
+    class Counted(frozenset):
+        def __le__(self, other):
+            calls[0] += 1
+            return frozenset.__le__(self, other)
+
+    for leaf in index.trie.leaves():
+        for group in leaf.items:
+            group.elements = Counted(group.elements)
+    return calls
+
+
+def counters(stats: JoinStats) -> tuple[int, int, int]:
+    return stats.candidates, stats.verifications, stats.node_visits
+
+
+@pytest.mark.parametrize("batch", BATCH_SIZES)
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestExactRegime:
+    def test_adopter_add_with_colliding_signature_is_verified(self, backend, batch):
+        """``{9}`` hashes like ``{1}`` at b = 8 and joins ``{1}``'s leaf,
+        so no leaf is created; exactness proven for S at prepare time no
+        longer holds and must not be trusted."""
+        with use_backend(backend):
+            index = PTSJ(bits=8).prepare(Relation.from_sets([{1}, {2, 3}]))
+            PatriciaSetIndex.from_prepared(index).add(5, frozenset({9}))
+            r = Relation.from_sets([{1}] * batch)
+            result = index.probe_many(r)
+        assert result.pairs == [(i, 0) for i in range(batch)]
+        pairs, stats = streamed(index, r)
+        assert result.pairs == pairs
+        assert counters(result.stats) == counters(stats)
+
+    def test_probe_element_beyond_width_is_verified(self, backend, batch):
+        """Prepared without a probe hint, b = d of S alone (4); a probe
+        element 5 folds onto S's ``{1}`` and must be caught."""
+        s = Relation.from_sets([{1}, {2, 3}])
+        with use_backend(backend):
+            index = PTSJ().prepare(s)
+            assert index.signature_bits == 4
+            r = Relation.from_sets([{5}, {1, 7}, {1, 2, 3}] * batch)
+            result = index.probe_many(r)
+        assert set(result.pairs) == oracle_pairs(r, s)
+        pairs, stats = streamed(index, r)
+        assert result.pairs == pairs
+        assert counters(result.stats) == counters(stats)
+
+    def test_exact_regime_skips_verification(self, backend, batch):
+        s = Relation.from_sets([{1}, {2, 3}, {0, 3}, {1}])
+        r = Relation.from_sets([{0, 1, 3}, {2}] * batch)
+        with use_backend(backend):
+            index = PTSJ(bits=4).prepare(s)
+            calls = counted_groups(index)
+            result = index.probe_many(r)
+            assert calls[0] == 0
+            assert set(result.pairs) == oracle_pairs(r, s)
+            # The streaming probe stays the verifying oracle.
+            pairs, stats = streamed(index, r)
+        assert calls[0] == stats.verifications > 0
+        assert result.pairs == pairs
+        assert counters(result.stats) == counters(stats)
+
+    def test_scramble_scheme_never_skips(self, backend, batch):
+        """Scrambled bits are not injective below b (4 and 10 collide at
+        b = 64), so every candidate is verified."""
+        assert ScrambleScheme(64).bit_of(4) == ScrambleScheme(64).bit_of(10)
+        s = Relation.from_sets([{4}, {10}, {4, 10}])
+        r = Relation.from_sets([{4}, {10, 11}] * batch)
+        with use_backend(backend):
+            index = PTSJ(bits=64, scheme_factory=ScrambleScheme).prepare(s)
+            calls = counted_groups(index)
+            result = index.probe_many(r)
+        assert calls[0] == result.stats.verifications > 0
+        assert set(result.pairs) == oracle_pairs(r, s)
+
+
+EXACT_SETTINGS = settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("backend", BACKENDS)
+@EXACT_SETTINGS
+@given(
+    domain=st.integers(min_value=2, max_value=24),
+    data=st.data(),
+)
+def test_differential_around_b_equals_d(backend, offset, domain, data):
+    """At b ∈ {d−1, d, d+1} the batch probe (exact or not) returns the
+    streaming probe's pairs in its order with its counters, and the
+    nested loop's pair set."""
+    sets = st.frozensets(st.integers(min_value=0, max_value=domain - 1), max_size=6)
+    s = Relation.from_sets(data.draw(st.lists(sets, max_size=10)))
+    r_sets = data.draw(st.lists(sets, max_size=10))
+    frontier = data.draw(st.booleans())
+    if frontier and r_sets:
+        r_sets = r_sets * (64 // len(r_sets) + 1)
+    r = Relation.from_sets(r_sets)
+    with use_backend(backend):
+        index = PTSJ(bits=domain + offset).prepare(s)
+        result = index.probe_many(r)
+        pairs, stats = streamed(index, r)
+    assert result.pairs == pairs
+    assert counters(result.stats) == counters(stats)
+    assert set(result.pairs) == oracle_pairs(r, s)
+    assert set(result.pairs) == NestedLoopJoin().join(r, s).pair_set()

@@ -105,6 +105,20 @@ class TestRelation:
         rel = Relation.from_sets([set(), set()])
         assert rel.max_element() == -1
 
+    def test_max_element_reuses_computed_stats(self):
+        from repro.relations.stats import compute_stats
+
+        rel = Relation.from_sets([{1, 9}, {3}])
+        assert compute_stats(rel).max_element == 9
+        rel._records = ()  # a rescan would now find nothing
+        assert rel.max_element() == 9
+
+    def test_max_element_is_memoized(self):
+        rel = Relation.from_sets([{1, 9}, {3}])
+        assert rel.max_element() == 9
+        rel._records = ()
+        assert rel.max_element() == 9
+
     def test_empty_relation(self):
         rel = Relation([])
         assert len(rel) == 0
